@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 configuration error, 2 verification failure,
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,8 @@ from .config import ExperimentConfig, load_config
 from .errors import ConfigError, NumericalError
 from .functionals import flux_report, surface_supremum
 from .io import format_float, write_json, write_table
-from .optimizer import OptimConfig, OptimResult, optimize, verify_bang_structure
+from .optimizer import (OptimConfig, OptimResult, iter_sweep_M, optimize,
+                        verify_bang_structure)
 from .profiles import SurfaceMeasure, check_surface_bound
 from .sequences import bang_density, switch_point
 from .solver import solve_temperature
@@ -160,15 +162,14 @@ def cmd_optimize(cfg: ExperimentConfig, out: Path) -> int:
 def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     if not cfg.M_list:
         raise ConfigError("constraint.M_list_mm is required for sweep")
-    grid = cfg.grid()
+    base = _optim_config(cfg, None, cfg.grid())
     caps = sorted(cfg.M_list)
     summaries = []
     prev = -np.inf
-    for M in caps + ([None] if cfg.drop_cap else []):
-        oc = _optim_config(cfg, M, grid)
-        res = optimize(oc)
+    for M, res in zip(caps + [None],
+                      iter_sweep_M(base, caps, include_uncapped=cfg.drop_cap)):
         tag = "_uncapped" if M is None else "_M%gmm" % (M * 1e3)
-        rep = _write_optim(cfg, oc, res, out, suffix=tag)
+        rep = _write_optim(cfg, replace(base, M=M), res, out, suffix=tag)
         rep["nondecreasing_vs_previous"] = bool(res.objective >= prev - 1e-12)
         prev = res.objective
         summaries.append(rep)

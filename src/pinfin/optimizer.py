@@ -9,7 +9,7 @@ functions linear in b (the state energy), it is concave: projected gradient
 ascent with a backtracking line search converges to the global maximizer.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .functionals import flux_gradient_density, heat_flux_relaxed
 from .grid import Grid
 from .physics import PhysicalParams
 from .profiles import RadiusProfile, SurfaceMeasure
-from .sequences import OscillationSpec, bang_density, reconstruct_radius, switch_point
+from .sequences import bang_density, radius_from_density, switch_point
 from .solver import solve_temperature
 
 
@@ -180,30 +180,6 @@ def optimize(cfg: OptimConfig) -> OptimResult:
     )
 
 
-def radius_from_density(b: SurfaceMeasure, grid: Grid,
-                        cells_per_oscillation: int = 16) -> RadiusProfile:
-    """Reconstruct a radius for a density via oscillations on its loaded runs."""
-    a0 = b.floor
-    excess = b.density > a0 * (1.0 + 1e-9)
-    specs = []
-    i = 0
-    n = grid.n_cells
-    while i < n:
-        if excess[i]:
-            j = i
-            while j + 1 < n and excess[j + 1]:
-                j += 1
-            run_cells = j - i + 1
-            n_osc = max(1, run_cells // cells_per_oscillation)
-            specs.append(OscillationSpec(i * grid.dx, (j + 1) * grid.dx, n_osc))
-            i = j + 1
-        else:
-            i += 1
-    if not specs:
-        return RadiusProfile.constant(a0, grid)
-    return reconstruct_radius(b, specs, a0, grid)
-
-
 @dataclass(frozen=True)
 class BangStructureReport:
     switch_measured: float
@@ -236,26 +212,26 @@ def verify_bang_structure(res: OptimResult, cfg: OptimConfig) -> BangStructureRe
     )
 
 
+def iter_sweep_M(cfg: OptimConfig, M_list, include_uncapped: bool = False):
+    """Optimize for each cap in turn, yielding each result when it is ready.
+
+    Caps must be strictly increasing; ``include_uncapped`` appends a run
+    without a cap.  A caller that writes each result out before asking for
+    the next never holds more than one.
+    """
+    caps = list(M_list)
+    if any(b <= a for a, b in zip(caps, caps[1:])):
+        raise ConfigError("M_list must be strictly increasing")
+    if include_uncapped:
+        caps.append(None)
+    for M in caps:
+        yield optimize(replace(cfg, M=M))
+
+
 def sweep_M(cfg: OptimConfig, M_list, include_uncapped: bool = False) -> list[OptimResult]:
     """One optimization per cap; caps must be increasing.
 
     Each run owns independent state, so members could be dispatched
     concurrently; they are executed sequentially here.
     """
-    caps = list(M_list)
-    if any(b <= a for a, b in zip(caps, caps[1:])):
-        raise ConfigError("M_list must be strictly increasing")
-    results = []
-    for M in caps:
-        results.append(optimize(OptimConfig(
-            a0=cfg.a0, S0=cfg.S0, M=M, grid=cfg.grid, params=cfg.params,
-            max_iters=cfg.max_iters, pg_tol=cfg.pg_tol, move_tol=cfg.move_tol,
-            armijo=cfg.armijo, step_growth=cfg.step_growth,
-            reconstruct=cfg.reconstruct, track_trace=cfg.track_trace)))
-    if include_uncapped:
-        results.append(optimize(OptimConfig(
-            a0=cfg.a0, S0=cfg.S0, M=None, grid=cfg.grid, params=cfg.params,
-            max_iters=cfg.max_iters, pg_tol=cfg.pg_tol, move_tol=cfg.move_tol,
-            armijo=cfg.armijo, step_growth=cfg.step_growth,
-            reconstruct=cfg.reconstruct, track_trace=cfg.track_trace)))
-    return results
+    return list(iter_sweep_M(cfg, M_list, include_uncapped))

@@ -12,12 +12,15 @@ builds those designs explicitly:
   ``a sqrt(1 + a'^2) = const`` holds exactly on each arc);
 * ``bang_density`` - the two-level optimizer of the capped problem with the
   switch at ``(S0 - a0 L) / (M - a0)``;
-* ``reconstruct_radius`` - recover an admissible radius from a prescribed
-  density by integrating the slope identity along rising/falling branches;
+* ``reconstruct_radius`` / ``radius_from_density`` - recover an admissible
+  radius from a prescribed density; the density is constant on each cell, so
+  rising and falling branches are exact circular arcs cell by cell and no
+  ODE integrator is involved;
 * ``volume_constrained_profile`` - oscillating designs that stay inside a
   volume budget while their flux grows without bound.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,61 +196,44 @@ def bang_density(M: float, S0: float, a0: float, grid: Grid) -> SurfaceMeasure:
     return SurfaceMeasure(dens, a0, L)
 
 
-def _rk4_branch(b_of_x, x_grid: np.ndarray, a_start: float,
-                rising: bool) -> np.ndarray:
-    """Integrate a' = +-sqrt(b^2 - a^2)/a along x_grid (backward if falling).
+def _arc_branch(dens: list[float], widths: list[float],
+                a_start: float) -> list[float]:
+    """Radius at the ends of consecutive constant-density pieces.
 
-    The radius is capped by the local density after every step: where the
-    density drops across a cell face the branch saturates at the lower level
-    instead of leaving the domain of the square root.  The graphs are spliced
-    at the branch crossing, which for admissible data occurs before any cap
-    becomes active on the kept part.
+    On a piece of density b the slope identity a sqrt(1 + a'^2) = b makes
+    u = sqrt(b^2 - a^2) fall at unit rate, so the radius is a circular arc
+    until it saturates at a = b.  The arc is carried in w = b - u, since
+    a^2 = w (2b - w) then needs no difference of nearly equal numbers when
+    b >> a.  Entering a piece whose density lies below the radius clamps the
+    radius to that density.
     """
-    sign = 1.0 if rising else -1.0
-
-    def f(xq, aq):
-        bq = b_of_x(xq)
-        return sign * np.sqrt(max(bq * bq - aq * aq, 0.0)) / aq
-
-    out = np.empty_like(x_grid)
-    if rising:
-        order = range(x_grid.size - 1)
-        out[0] = a_start
-    else:
-        order = range(x_grid.size - 1, 0, -1)
-        out[-1] = a_start
-    for i in order:
-        if rising:
-            xq, aq, h = x_grid[i], out[i], x_grid[i + 1] - x_grid[i]
-            k1 = f(xq, aq)
-            k2 = f(xq + h / 2, aq + h / 2 * k1)
-            k3 = f(xq + h / 2, aq + h / 2 * k2)
-            k4 = f(xq + h, aq + h * k3)
-            out[i + 1] = min(aq + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4),
-                             b_of_x(x_grid[i + 1]))
-        else:
-            xq, aq, h = x_grid[i], out[i], x_grid[i] - x_grid[i - 1]
-            k1 = f(xq, aq)
-            k2 = f(xq - h / 2, aq - h / 2 * k1)
-            k3 = f(xq - h / 2, aq - h / 2 * k2)
-            k4 = f(xq - h, aq - h * k3)
-            out[i - 1] = min(aq - h / 6 * (k1 + 2 * k2 + 2 * k3 + k4),
-                             b_of_x(x_grid[i - 1]))
+    out = [a_start]
+    a = a_start
+    for b, h in zip(dens, widths):
+        a = min(a, b)
+        w = min(a * a / (b + math.sqrt((b - a) * (b + a))) + h, b)
+        a = math.sqrt(w * (2.0 * b - w))
+        out.append(a)
     return out
 
 
 def reconstruct_radius(b: SurfaceMeasure, specs: list[OscillationSpec],
-                       a_boundary: float, grid: Grid,
-                       steps_per_oscillation: int = 256,
-                       crossing_rtol: float = 1e-12) -> RadiusProfile:
+                       a_boundary: float, grid: Grid) -> RadiusProfile:
     """Admissible radius whose lateral density matches ``b`` on the specs.
 
-    On each oscillation sub-interval the rising branch is integrated forward
-    from ``a_boundary`` and the falling branch backward from ``a_boundary``;
-    the two graphs cross (intermediate value theorem) and are spliced at the
-    crossing, located by bisection to ``crossing_rtol * a_boundary``.  Outside
-    the spec intervals the radius is the flat baseline, so the identity
-    a sqrt(1+a'^2) = b holds there only where b equals the baseline.
+    Each oscillation sub-interval is cut into pieces at the grid nodes, and
+    the density is constant on every piece.  A rising branch leaves the left
+    edge at ``a_boundary`` and a falling branch the right edge, each moving
+    one piece at a time along the exact circular arc of that piece's
+    density, so the nodes are evaluated exactly with no integrator.  Within
+    a piece the gap between the branches increases, so the first node where
+    the rising branch reaches the falling one follows the first crossing;
+    the two graphs are spliced there.  (Branches that never meet, possible
+    only for a density within roundoff below the baseline, keep the falling
+    one.)
+    Outside the spec intervals the radius is the flat baseline, so the
+    identity a sqrt(1+a'^2) = b holds there only where b equals the
+    baseline.
 
     The sup-distance from the baseline scales like the sub-interval width,
     i.e. O(1/n_oscillations) per interval.
@@ -257,22 +243,12 @@ def reconstruct_radius(b: SurfaceMeasure, specs: list[OscillationSpec],
     if a_boundary < b.floor:
         raise ConfigError("baseline radius below the measure floor")
     dens = b.density
-
     nodes = grid.nodes
+    tol = 1e-9 * grid.dx
     values = np.full(nodes.size, a_boundary)
     for spec in specs:
         if spec.x_end > grid.length * (1.0 + 1e-12):
             raise ConfigError("oscillation interval extends past the fin tip")
-
-        lo = spec.x_start + 1e-9 * grid.dx
-        hi = spec.x_end - 1e-9 * grid.dx
-
-        def b_of_x(xq, lo=lo, hi=hi):
-            # clamp into the interval so stage evaluations at its exact edges
-            # do not read the neighboring cell across a density jump
-            xq = min(max(xq, lo), hi)
-            return dens[min(max(int(xq / grid.dx), 0), grid.n_cells - 1)]
-
         cells = slice(max(int(spec.x_start / grid.dx), 0),
                       min(int(np.ceil(spec.x_end / grid.dx)), grid.n_cells))
         if np.min(dens[cells]) < a_boundary * (1.0 - 1e-9):
@@ -281,38 +257,43 @@ def reconstruct_radius(b: SurfaceMeasure, specs: list[OscillationSpec],
                 f"[{spec.x_start}, {spec.x_end}]; no admissible radius matches it"
             )
         edges = np.linspace(spec.x_start, spec.x_end, spec.n_oscillations + 1)
-        for j in range(spec.n_oscillations):
-            xg = np.linspace(edges[j], edges[j + 1], steps_per_oscillation + 1)
-            up = _rk4_branch(b_of_x, xg, a_boundary, rising=True)
-            dn = _rk4_branch(b_of_x, xg, a_boundary, rising=False)
-            d = up - dn
-            if d[0] >= 0.0:         # branches coincide (b at the baseline)
-                spliced = np.full_like(xg, a_boundary)
-            elif np.all(d < 0.0):
-                raise NumericalError(
-                    "rising and falling branches never cross; density does not "
-                    "exceed the baseline on the interval"
-                )
-            else:
-                ix = int(np.argmax(d >= 0.0))
-                il = max(ix - 1, 0)
-                xlo, xhi = xg[il], xg[ix]
-                # bisection on the piecewise-linear branch gap
-                for _ in range(200):
-                    xmid = 0.5 * (xlo + xhi)
-                    w = 0.0 if xhi == xlo else (xmid - xg[il]) / (xg[ix] - xg[il])
-                    dmid = (1 - w) * d[il] + w * d[ix]
-                    if abs(dmid) <= crossing_rtol * a_boundary:
-                        break
-                    if dmid < 0.0:
-                        xlo = xmid
-                    else:
-                        xhi = xmid
-                xi = 0.5 * (xlo + xhi)
-                spliced = np.where(xg < xi, up, dn)
-            sel = (nodes >= edges[j] - 1e-15) & (nodes <= edges[j + 1] + 1e-15)
-            values[sel] = np.interp(nodes[sel], xg, spliced)
+        for e0, e1 in zip(edges[:-1], edges[1:]):
+            # nodes within tol of an edge keep the baseline
+            i0 = int(np.searchsorted(nodes, e0 + tol, "right"))
+            i1 = int(np.searchsorted(nodes, e1 - tol, "left"))
+            ends = np.concatenate(([e0], nodes[i0:i1], [e1]))
+            cell = np.clip((0.5 * (ends[:-1] + ends[1:]) / grid.dx).astype(int),
+                           0, grid.n_cells - 1)
+            piece, widths = dens[cell].tolist(), np.diff(ends).tolist()
+            up = np.array(_arc_branch(piece, widths, a_boundary))
+            dn = np.array(_arc_branch(piece[::-1], widths[::-1], a_boundary)[::-1])
+            ix = int(np.argmax(up >= dn))       # first node past the crossing
+            values[i0:i1] = np.concatenate((up[:ix], dn[ix:]))[1:-1]
     return RadiusProfile(np.maximum(values, a_boundary), b.floor, grid.length)
+
+
+def radius_from_density(b: SurfaceMeasure, grid: Grid,
+                        cells_per_oscillation: int = 16) -> RadiusProfile:
+    """Reconstruct a radius for a density via oscillations on its loaded runs."""
+    a0 = b.floor
+    excess = b.density > a0 * (1.0 + 1e-9)
+    specs = []
+    i = 0
+    n = grid.n_cells
+    while i < n:
+        if excess[i]:
+            j = i
+            while j + 1 < n and excess[j + 1]:
+                j += 1
+            run_cells = j - i + 1
+            n_osc = max(1, run_cells // cells_per_oscillation)
+            specs.append(OscillationSpec(i * grid.dx, (j + 1) * grid.dx, n_osc))
+            i = j + 1
+        else:
+            i += 1
+    if not specs:
+        return RadiusProfile.constant(a0, grid)
+    return reconstruct_radius(b, specs, a0, grid)
 
 
 def volume_constrained_profile(surface_target: float, V0: float, a0: float,

@@ -8,7 +8,7 @@ import yaml
 from pinfin.cli import main
 from pinfin.config import load_config
 from pinfin.errors import ConfigError
-from pinfin.io import read_table
+from pinfin.io import read_table, write_table
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -102,6 +102,30 @@ def test_profile_roundtrip_is_bit_exact(tmp_path):
     from pinfin import RadiusProfile
     reingested = RadiusProfile(back, cfg.a0, cfg.length)
     assert np.array_equal(reingested.values, original.values)
+
+
+def test_read_table_drops_only_the_trailing_padding(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, ["x", "y"], [np.arange(4.0), np.array([1.0, 2.0])])
+    back = read_table(path)
+    assert np.array_equal(back["x"], np.arange(4.0))
+    assert np.array_equal(back["y"], [1.0, 2.0])
+
+
+def test_read_table_rejects_a_nan_inside_a_column(tmp_path):
+    # dropping it would shift the later rows of that column out of line
+    path = tmp_path / "t.csv"
+    write_table(path, ["x", "y"], [np.arange(3.0), np.array([1.0, np.nan, 3.0])])
+    with pytest.raises(ConfigError, match="NaN inside column 'y'"):
+        read_table(path)
+
+
+def test_read_table_rejects_a_row_of_nan(tmp_path):
+    # write_table pads only columns shorter than the longest one
+    path = tmp_path / "t.csv"
+    write_table(path, ["x", "y"], [np.array([1.0, np.nan]), np.array([2.0, np.nan])])
+    with pytest.raises(ConfigError, match="NaN in every column"):
+        read_table(path)
 
 
 def test_outputs_are_deterministic(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinfin import (Grid, NumericalError, OscillationSpec, SurfaceMeasure,
                     bang_density, oscillating_profile, reconstruct_radius,
@@ -17,16 +19,16 @@ def test_flat_density_reconstructs_the_baseline():
 
 def test_reconstruction_reproduces_closed_form_arcs():
     # the step density with m oscillations of width 1/m^2 is exactly the
-    # closed-form arc construction; the integrated branches must match it
+    # closed-form arc construction; the exact branches must match it
     m = 4
     grid = Grid(ELL, 8192)   # 1/m grid-aligned
     S = 1.5 * A0 * ELL
     b = step_density(S, m, A0, grid)
     spec = OscillationSpec(0.0, 1.0 / m, m)
-    rec = reconstruct_radius(b, [spec], A0, grid, steps_per_oscillation=512)
+    rec = reconstruct_radius(b, [spec], A0, grid)
     ref = oscillating_profile(S, m, A0, grid)
     err = np.max(np.abs(rec.values - ref.values)) / A0
-    assert err <= 1e-5
+    assert err <= 1e-12
 
 
 def test_doubling_oscillations_halves_the_deviation():
@@ -55,6 +57,18 @@ def test_reconstructed_surface_matches_the_density_total():
     assert surface(rec, grid) == pytest.approx(b.total(grid), rel=1e-2)
 
 
+def test_branch_saturates_at_the_lower_density_where_the_density_drops():
+    # the falling branch saturates at 2 A0 on the right half, then drops to
+    # the 1.5 A0 of the left half, where the rising branch meets it
+    grid = Grid(ELL, 1000)
+    dens = np.where(grid.midpoints < 0.5, 1.5 * A0, 2.0 * A0)
+    b = SurfaceMeasure(dens, A0, grid.length)
+    rec = reconstruct_radius(b, [OscillationSpec(0.0, ELL, 1)], A0, grid)
+    x = grid.nodes
+    assert np.all(rec.values[(x >= 0.06) & (x < 0.5)] == 1.5 * A0)
+    assert np.all(rec.values[(x >= 0.5) & (x <= 0.91)] == 2.0 * A0)
+
+
 def test_default_oscillation_count_rule():
     spec = OscillationSpec.with_default_count(0.0, 0.25)
     assert spec.n_oscillations == 5     # floor(1/0.25) + 1
@@ -72,3 +86,50 @@ def test_density_below_baseline_fails():
     with pytest.raises(NumericalError):
         # baseline above the density: branches cannot cross
         reconstruct_radius(b, [OscillationSpec(0.0, 0.25, 2)], 2 * A0, grid)
+
+
+@st.composite
+def _piecewise_density(draw):
+    """Grid, cellwise density >= A0 with a few levels, grid-aligned spec."""
+    n_osc = draw(st.sampled_from([1, 2, 3, 5, 8]))
+    cells_per_osc = draw(st.integers(1, 40))
+    n_cells = draw(st.integers(n_osc * cells_per_osc + 2, 1024))
+    first = draw(st.integers(0, n_cells - n_osc * cells_per_osc))
+    grid = Grid(ELL, n_cells)
+    cuts = sorted(draw(st.lists(st.integers(0, n_cells), max_size=6)))
+    levels = draw(st.lists(st.floats(1.0, 50.0), min_size=len(cuts) + 1,
+                           max_size=len(cuts) + 1))
+    dens = np.empty(n_cells)
+    for lo, hi, level in zip([0] + cuts, cuts + [n_cells], levels):
+        dens[lo:hi] = A0 * level
+    spec = OscillationSpec(first * grid.dx,
+                           (first + n_osc * cells_per_osc) * grid.dx, n_osc)
+    return grid, SurfaceMeasure(dens, A0, ELL), spec, first, cells_per_osc
+
+
+@settings(max_examples=60, deadline=None)
+@given(_piecewise_density())
+def test_reconstruction_stays_between_baseline_and_density(case):
+    grid, b, spec, first, cells_per_osc = case
+    rec = reconstruct_radius(b, [spec], A0, grid).values
+    edges = first + cells_per_osc * np.arange(spec.n_oscillations + 1)
+    assert np.all(rec[edges] == A0)
+    last = first + cells_per_osc * spec.n_oscillations
+    assert np.all(rec[:first + 1] == A0) and np.all(rec[last:] == A0)
+    assert np.all(rec >= A0)
+    assert np.all(rec <= np.max(b.density[first:last]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(3, 12), level=st.floats(1.5, 50.0),
+       cells_per_step=st.integers(2, 256))
+def test_reconstruction_matches_oscillating_profile_on_step_densities(
+        m, level, cells_per_step):
+    # density level * A0 on [0, 1/m] with 1/m on a node: the exact arcs are
+    # the oscillating profile with m oscillations
+    grid = Grid(ELL, m * cells_per_step)
+    S = A0 * ELL + A0 * (level - 1.0) / m
+    b = step_density(S, m, A0, grid)
+    rec = reconstruct_radius(b, [OscillationSpec(0.0, 1.0 / m, m)], A0, grid)
+    ref = oscillating_profile(S, m, A0, grid, check_resolution=False)
+    assert np.max(np.abs(rec.values - ref.values) / ref.values) <= 1e-12
