@@ -120,6 +120,7 @@ def _write_optim(cfg: ExperimentConfig, oc: OptimConfig, res: OptimResult,
     report = {
         "objective_W": res.objective,
         "converged": bool(res.converged),
+        "stop_reason": res.stop_reason,
         "iterations": int(res.n_iterations),
         "budget_active": bool(res.budget_active),
         "cells_between_bounds": int(np.sum(res.active_set == "free")),

@@ -37,12 +37,15 @@ def write_table(path: Path, header: list[str], columns: list[np.ndarray],
     if comment:
         lines.append("# " + comment)
     lines.append(",".join(header))
-    for i in range(n):
-        cells = []
-        for col in columns:
-            cells.append(format_float(col[i]) if i < len(col) else "nan")
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    # shorter columns are padded with NaN, which the format prints as "nan";
+    # one format over the whole table is faster, and holds less memory, than
+    # formatting row by row
+    table = np.full((n, len(columns)), np.nan)
+    for j, col in enumerate(columns):
+        table[:len(col), j] = col
+    row_fmt = ",".join([_FMT] * len(columns)) + "\n"
+    body = (row_fmt * n) % tuple(table.ravel().tolist())
+    path.write_text("\n".join(lines) + "\n" + body)
 
 
 def read_table(path: Path) -> dict[str, np.ndarray]:

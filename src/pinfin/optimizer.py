@@ -64,38 +64,53 @@ class OptimResult:
     switch_estimate: float
     active_set: np.ndarray         # per-cell labels: "lower" | "free" | "upper"
     trace: np.ndarray
-    converged: bool
+    converged: bool                # pg_residual <= pg_tol
     n_iterations: int
     pg_residual: float
     budget_active: bool
+    stop_reason: str               # "line_search" | "move_tol" | "stall" | "max_iters"
     temperature: np.ndarray = field(repr=False, default=None)
 
 
 def project_box_budget(v: np.ndarray, lo: float, hi: float, budget: float,
-                       dx: float, bisect_iters: int = 200) -> np.ndarray:
+                       dx: float) -> np.ndarray:
     """Euclidean projection onto {lo <= b <= hi, dx * sum(b) <= budget}.
 
-    Clips to the box first; if the budget is violated, bisects on the shift mu
-    so that clip(v - mu) meets the budget.  The returned point satisfies the
-    budget with a one-sided error below the bisection resolution.
+    Clips to the box first; if the budget is violated, the answer is
+    clip(v - mu, lo, hi) for the shift mu > 0 where the surface
+    phi(mu) = dx * sum(clip(v - mu, lo, hi)) meets the budget.  phi is
+    piecewise linear and nonincreasing, with kinks at the positive values of
+    v - hi and v - lo; bisecting over the sorted kinks finds the piece that
+    brackets the budget, on which mu is solved exactly (Kiwiel, Math.
+    Program. 112, 2008).  A budget in the round-off slack below the floor
+    surface gives the all-floor density.
     """
     if budget < lo * v.size * dx * (1.0 - 1e-12):
         raise ConfigError(
             f"budget {budget} below the box minimum {lo * v.size * dx}"
         )
     b = np.clip(v, lo, hi)
-    if dx * b.sum() <= budget:
+    phi_left = dx * b.sum()
+    if phi_left <= budget:
         return b
-    mu_lo, mu_hi = 0.0, float(np.max(v - lo))
-    for _ in range(bisect_iters):
-        mu = 0.5 * (mu_lo + mu_hi)
-        if dx * np.clip(v - mu, lo, hi).sum() > budget:
-            mu_lo = mu
+    kinks = np.concatenate((v - hi, v - lo))
+    kinks = kinks[kinks > 0.0]
+    kinks.sort()
+    # invariant: phi(kinks[left - 1]) = phi_left > budget (kinks[-1] read as
+    # mu = 0) and phi(kinks[right]) = phi_right <= budget
+    left, right, phi_right = 0, kinks.size, None
+    while left < right:
+        mid = (left + right) // 2
+        phi_mid = dx * np.clip(v - kinks[mid], lo, hi).sum()
+        if phi_mid > budget:
+            left, phi_left = mid + 1, phi_mid
         else:
-            mu_hi = mu
-        if mu_hi - mu_lo <= 1e-18 * max(mu_hi, 1.0):
-            break
-    return np.clip(v - mu_hi, lo, hi)
+            right, phi_right = mid, phi_mid
+    if phi_right is None:
+        return np.full_like(b, lo)
+    mu0 = kinks[left - 1] if left else 0.0
+    mu = mu0 + (phi_left - budget) / (phi_left - phi_right) * (kinks[left] - mu0)
+    return np.clip(v - mu, lo, hi)
 
 
 def _objective_and_gradient(b_dens, cfg: OptimConfig, a: RadiusProfile):
@@ -117,7 +132,7 @@ def optimize(cfg: OptimConfig) -> OptimResult:
     F, g, T = _objective_and_gradient(b, cfg, a)
     trace = [F]
     step = a0 / (float(np.max(g)) + 1e-300)
-    converged = False
+    stop_reason = "max_iters"
     stall = 0
     it = 0
     for it in range(1, cfg.max_iters + 1):
@@ -133,7 +148,7 @@ def optimize(cfg: OptimConfig) -> OptimResult:
                 break
             step *= 0.5
         if not accepted:
-            converged = True
+            stop_reason = "line_search"
             break
         move = float(np.max(np.abs(b_new - b)))
         gain = (F_new - F) / max(abs(F), 1e-300)
@@ -142,16 +157,14 @@ def optimize(cfg: OptimConfig) -> OptimResult:
             trace.append(F)
         step *= cfg.step_growth
         if move <= cfg.move_tol * a0:
-            converged = True
+            stop_reason = "move_tol"
             break
         stall = stall + 1 if gain < 1e-15 else 0
         if stall > 50:
-            converged = True
+            stop_reason = "stall"
             break
 
     pg_res = float(np.linalg.norm(project_box_budget(b + g, a0, hi, cfg.S0, dx) - b))
-    if pg_res <= cfg.pg_tol:
-        converged = True
 
     tol_b = 1e-6 * (hi - a0 if np.isfinite(hi) else max(float(np.max(b)) - a0, a0))
     labels = np.full(grid.n_cells, "free", dtype="<U5")
@@ -172,10 +185,11 @@ def optimize(cfg: OptimConfig) -> OptimResult:
         switch_estimate=switch,
         active_set=labels,
         trace=np.asarray(trace),
-        converged=converged,
+        converged=pg_res <= cfg.pg_tol,
         n_iterations=it,
         pg_residual=pg_res,
         budget_active=dx * b.sum() >= cfg.S0 * (1.0 - 1e-9),
+        stop_reason=stop_reason,
         temperature=T.values,
     )
 

@@ -112,6 +112,18 @@ def test_read_table_drops_only_the_trailing_padding(tmp_path):
     assert np.array_equal(back["y"], [1.0, 2.0])
 
 
+def test_write_table_bytes(tmp_path):
+    # 17 significant digits round-trip every float64; short columns pad with nan
+    path = tmp_path / "t.csv"
+    write_table(path, ["x", "y"],
+                [np.array([0.1, -0.0, np.inf, 1.0 / 3.0]), np.array([2.5, -6.02214076e23])],
+                comment="c")
+    assert path.read_bytes() == (b"# c\nx,y\n0.10000000000000001,2.5\n"
+                                 b"-0,-6.0221407599999999e+23\ninf,nan\n"
+                                 b"0.33333333333333331,nan\n")
+    assert np.array_equal(read_table(path)["x"], [0.1, -0.0, np.inf, 1.0 / 3.0])
+
+
 def test_read_table_rejects_a_nan_inside_a_column(tmp_path):
     # dropping it would shift the later rows of that column out of line
     path = tmp_path / "t.csv"
@@ -181,6 +193,8 @@ def test_optimize_and_sweep_outputs(tmp_path):
     assert rep["cells_between_bounds"] <= 1
     assert rep["switch_error_cells"] <= 1.0
     assert rep["objective_relative_gap"] <= 1e-3
+    assert rep["converged"]
+    assert rep["stop_reason"] in {"line_search", "move_tol", "stall", "max_iters"}
     for name in ("b_opt.csv", "a_opt.csv", "T_opt.csv", "objective_trace.csv"):
         assert (out / name).exists()
     trace = read_table(out / "objective_trace.csv")["objective_W"]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from pinfin import (ConfigError, Grid, OptimConfig, PhysicalParams,
@@ -34,6 +36,83 @@ def test_projection_feasibility_and_idempotence():
         assert dx * b.sum() <= budget * (1 + 1e-12)
         again = project_box_budget(b, lo, hi, budget, dx)
         assert np.allclose(again, b, atol=1e-10)
+
+
+def data_scale(v, lo, hi):
+    return max(float(np.max(np.abs(v))), lo, hi if np.isfinite(hi) else 0.0)
+
+
+def assert_projection_kkt(v, lo, hi, budget, dx, b):
+    """Certify b as the projection of v without an oracle.
+
+    b is the projection iff it is feasible and some mu >= 0 has
+    b_i = v_i - mu on free cells, v_i - mu <= lo on floor cells,
+    v_i - mu >= hi on capped cells, and the budget is met when mu > 0.
+    """
+    tol = 1e-12 * data_scale(v, lo, hi)
+    assert np.all(b >= lo) and np.all(b <= hi)
+    assert dx * b.sum() <= budget * (1 + 1e-12)
+    lower, upper = b == lo, b == hi
+    free = ~(lower | upper)
+    if np.any(free):
+        shifts = v[free] - b[free]
+        assert np.ptp(shifts) <= tol
+        mu = float(np.mean(shifts))
+        assert mu >= -tol
+    else:
+        mu = max(0.0, float(np.max(v[lower] - lo, initial=0.0)))
+    assert np.all(v[lower] - mu <= lo + tol)
+    assert np.all(v[upper] - mu >= hi - tol)
+    if mu > tol:
+        assert dx * b.sum() == pytest.approx(budget, rel=1e-12)
+
+
+@st.composite
+def projection_inputs(draw):
+    n = draw(st.integers(1, 40))
+    lo = draw(st.floats(1e-3, 10.0))
+    hi = draw(st.one_of(st.just(np.inf), st.floats(1.01, 20.0).map(lambda r: r * lo)))
+    # few levels give tied values; levels below 1 put cells under the floor
+    levels = draw(st.lists(st.floats(-5.0, 25.0), min_size=1, max_size=n))
+    v = lo * np.array(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)))
+    dx = draw(st.floats(1e-3, 1.0))
+    budget = lo * n * dx * draw(st.floats(1.0 - 5e-13, 30.0))
+    return v, lo, hi, budget, dx
+
+
+@given(projection_inputs())
+def test_projection_satisfies_kkt(inputs):
+    v, lo, hi, budget, dx = inputs
+    assert_projection_kkt(v, lo, hi, budget, dx, project_box_budget(*inputs))
+
+
+@given(projection_inputs())
+def test_projection_is_idempotent(inputs):
+    v, lo, hi, budget, dx = inputs
+    b = project_box_budget(*inputs)
+    again = project_box_budget(b, lo, hi, budget, dx)
+    assert np.max(np.abs(again - b)) <= 1e-12 * data_scale(v, lo, hi)
+
+
+@pytest.mark.parametrize("v, lo, hi, budget", [
+    (np.array([1.0, 9.0, 3.0, 0.2]), 0.5, np.inf, 4.0),       # no cap
+    (np.array([7.0]), 1.0, 4.0, 2.0),                         # one cell
+    (np.array([3.0, 3.0, 3.0, 1.5, 1.5]), 1.0, 2.5, 6.0),     # ties
+    (np.array([0.2, -1.0, 0.9]), 1.0, 2.0, 3.0),              # all at or below lo
+    (np.array([0.2, -1.0, 1.0]), 1.0, 2.0, 3.0 * (1 - 5e-13)),  # ... and no kink
+    (np.array([5.0, 0.0, 9.0]), 1.0, 4.0, 3.0 * (1 - 5e-13)),  # budget in the slack
+], ids=["no-cap", "one-cell", "ties", "below-floor", "no-kink", "slack"])
+def test_projection_edge_cases(v, lo, hi, budget):
+    b = project_box_budget(v, lo, hi, budget, 1.0)
+    assert_projection_kkt(v, lo, hi, budget, 1.0, b)
+    if budget < lo * v.size:
+        assert np.array_equal(b, np.full(v.size, lo))
+
+
+def test_projection_returns_a_feasible_input_unchanged():
+    v = np.array([1.0, 2.5, 1.25, 4.0])
+    assert np.array_equal(project_box_budget(v, 1.0, 4.0, 8.75, 1.0), v)
+    assert np.array_equal(project_box_budget(v, 1.0, np.inf, 9.0, 1.0), v)
 
 
 def test_projection_rejects_impossible_budgets():
@@ -76,6 +155,13 @@ def test_optimizer_recovers_bang_bang_structure():
     assert res.b_opt.total(cfg.grid) <= cfg.S0 * (1 + 1e-10)
     assert np.all(res.b_opt.density >= A0 - 1e-15)
     assert np.all(res.b_opt.density <= cfg.M + 1e-15)
+
+
+def test_converged_means_the_residual_met_its_tolerance():
+    cfg = make_cfg(max_iters=3)
+    res = optimize(cfg)
+    assert res.stop_reason == "max_iters" and res.n_iterations == 3
+    assert res.pg_residual > cfg.pg_tol and not res.converged
 
 
 def test_optimizer_kkt_structure_constant_h():
