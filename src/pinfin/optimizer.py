@@ -7,6 +7,11 @@ radius while b drives the reaction, which is the relaxed functional that
 concentrating designs converge to.  Since the objective is a minimum of
 functions linear in b (the state energy), it is concave: projected gradient
 ascent with a backtracking line search converges to the global maximizer.
+Trial steps are spectral (Barzilai & Borwein, IMA J. Numer. Anal. 8, 1988)
+and are accepted against the smallest of the last few accepted objectives
+(Grippo, Lampariello & Lucidi, SIAM J. Numer. Anal. 23, 1986; Birgin,
+Martinez & Raydan, SIAM J. Optim. 10, 2000), so the objective may dip
+slightly between accepted steps.
 """
 
 from dataclasses import dataclass, field, replace
@@ -21,6 +26,11 @@ from .profiles import RadiusProfile, SurfaceMeasure
 from .sequences import bang_density, radius_from_density, switch_point
 from .solver import solve_temperature
 
+# accepted objectives the nonmonotone Armijo test compares against; a
+# monotone test (memory 1) can freeze the iterates before the residual
+# meets its tolerance
+NONMONOTONE_MEMORY = 3
+
 
 @dataclass
 class OptimConfig:
@@ -33,9 +43,7 @@ class OptimConfig:
     pg_tol: float = 1e-11          # on the projected-gradient residual, W/m
     move_tol: float = 1e-13        # relative to a0, stops when iterates freeze
     armijo: float = 1e-4
-    step_growth: float = 1.3
     reconstruct: bool = True
-    track_trace: bool = True
 
     def __post_init__(self):
         if self.a0 <= 0.0:
@@ -137,25 +145,28 @@ def optimize(cfg: OptimConfig) -> OptimResult:
     it = 0
     for it in range(1, cfg.max_iters + 1):
         accepted = False
+        reference = min(trace[-NONMONOTONE_MEMORY:])
         for _ in range(60):
             b_new = project_box_budget(b + step * g, a0, hi, cfg.S0, dx)
             d = b_new - b
             if not np.any(d):
                 break
             F_new, g_new, T_new = _objective_and_gradient(b_new, cfg, a)
-            if F_new >= F + cfg.armijo * float(np.dot(g, d)):
+            if F_new >= reference + cfg.armijo * float(np.dot(g, d)):
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             stop_reason = "line_search"
             break
-        move = float(np.max(np.abs(b_new - b)))
+        move = float(np.max(np.abs(d)))
         gain = (F_new - F) / max(abs(F), 1e-300)
+        # BB1 step; concavity makes the curvature d.(g - g_new) nonnegative
+        curvature = float(np.dot(d, g - g_new))
+        if curvature > 0.0:
+            step = float(np.dot(d, d)) / curvature
         b, F, g, T = b_new, F_new, g_new, T_new
-        if cfg.track_trace:
-            trace.append(F)
-        step *= cfg.step_growth
+        trace.append(F)
         if move <= cfg.move_tol * a0:
             stop_reason = "move_tol"
             break

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,11 +10,13 @@ from pinfin import (ConfigError, Grid, OptimConfig, PhysicalParams,
                     bang_density, heat_flux_relaxed, optimize,
                     project_box_budget, surface_supremum, sweep_M,
                     verify_bang_structure)
+from pinfin.config import load_config
 from pinfin.functionals import flux_gradient_density
 from pinfin.profiles import RadiusProfile
 from pinfin.solver import solve_temperature
 
 A0, ELL = 1e-3, 0.1
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def make_cfg(n=200, M=25e-3, S0=None, h=10.0, max_iters=20000):
@@ -162,6 +166,30 @@ def test_converged_means_the_residual_met_its_tolerance():
     res = optimize(cfg)
     assert res.stop_reason == "max_iters" and res.n_iterations == 3
     assert res.pg_residual > cfg.pg_tol and not res.converged
+
+
+def assert_best_objective_returned(res):
+    # the nonmonotone line search may dip between accepted steps, but the
+    # run must not end below the best objective it visited
+    assert res.objective >= float(np.max(res.trace)) * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("M", [6.25e-3, 12.5e-3, 25e-3, 50e-3])
+def test_spectral_steps_converge_in_few_iterations(M):
+    res = optimize(make_cfg(n=500, M=M))
+    assert res.converged
+    assert res.n_iterations <= 40
+    assert_best_objective_returned(res)
+
+
+def test_nonmonotone_search_converges_on_step_convection():
+    # a monotone Armijo test with spectral steps freezes this run above pg_tol
+    cfg = load_config(CONFIGS / "step_h.yaml")
+    res = optimize(OptimConfig(a0=cfg.a0, S0=cfg.S0, M=2.6e-3, grid=cfg.grid(),
+                               params=cfg.params(), max_iters=cfg.max_iters,
+                               reconstruct=False))
+    assert res.converged, (res.stop_reason, res.pg_residual)
+    assert_best_objective_returned(res)
 
 
 def test_optimizer_kkt_structure_constant_h():
