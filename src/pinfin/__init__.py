@@ -24,7 +24,7 @@ from .profiles import (FluxReport, LinearizedField, RadiusProfile,
 from .sequences import (OscillationSpec, bang_density, oscillating_profile,
                         oscillating_profile_volume, oscillating_radius,
                         oscillation_peak, reconstruct_radius, step_density,
-                        switch_point, volume_constrained_profile)
+                        switch_point)
 from .solver import (closed_form_temperature, compute_gamma, solve_linearized,
                      solve_temperature)
 
@@ -40,7 +40,7 @@ __all__ = [
     "oscillating_radius", "oscillation_peak", "project_box_budget",
     "reconstruct_radius", "solve_linearized", "solve_temperature",
     "step_density", "surface", "surface_supremum", "sweep_M", "switch_point",
-    "verify_bang_structure", "volume", "volume_constrained_profile",
+    "verify_bang_structure", "volume",
 ]
 
 __version__ = "0.1.0"

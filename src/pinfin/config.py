@@ -35,6 +35,14 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return int(value)
+
+
 class HProfile:
     """Convection coefficient h(x) built from its config spec."""
 
@@ -150,7 +158,7 @@ class ExperimentConfig:
         """
         args = self.profile_args
         S = self.surface_value(args, "profile")
-        m = int(_require(args, "m", "profile"))
+        m = _integer(_require(args, "m", "profile"), "profile.m")
         profile = oscillating_profile(S, m, self.a0, grid,
                                       check_resolution=False)
         return profile, step_density(S, m, self.a0, grid)
@@ -216,16 +224,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
         M = _number(con["M_mm"], "constraint.M_mm") * MM
     M_list = [_number(v, "constraint.M_list_mm") * MM
               for v in con.get("M_list_mm", [])]
-    drop_cap = bool(con.get("drop_cap", False))
+    drop_cap = con.get("drop_cap", False)
+    if not isinstance(drop_cap, bool):
+        raise ConfigError(f"constraint.drop_cap: expected true or false, "
+                          f"got {drop_cap!r}")
 
     prof = raw.get("profile", {}) or {}
     profile_kind = prof.get("kind", "constant")
     profile_args = {kk: vv for kk, vv in prof.items() if kk != "kind"}
 
     num = raw.get("numerics", {}) or {}
-    n_cells = int(num.get("n_cells", 500))
-    max_iters = int(num.get("max_iters", 20000))
-    seed = int(num.get("seed", 0))
+    n_cells = _integer(num.get("n_cells", 500), "numerics.n_cells")
+    max_iters = _integer(num.get("max_iters", 20000), "numerics.max_iters")
+    seed = _integer(num.get("seed", 0), "numerics.seed")
 
     out = raw.get("output", {}) or {}
     out_format = out.get("format", "csv")

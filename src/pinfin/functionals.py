@@ -105,21 +105,18 @@ def surface_supremum(a0: float, length: float, S0: float,
 
 
 def generalized_supremum(a0: float, length: float, S0: float,
-                         params: PhysicalParams, grid: Grid,
-                         tip_includes_pi: bool = True) -> float:
+                         params: PhysicalParams, grid: Grid) -> float:
     """Supremum of the flux for variable beta(x) attaining its max at x = 0.
 
     Assembles ``k pi [a0 int beta theta + (S0 - a0 L) beta(0) dT]`` plus the
-    tip term from a constant-radius solve.  With ``tip_includes_pi=False`` the
-    tip term drops the factor pi (an alternative normalization kept for
-    comparison; the default is consistent with the relaxed functional and
-    reduces exactly to ``surface_supremum`` for constant h).
+    tip term from a constant-radius solve; consistent with the relaxed
+    functional, it reduces exactly to ``surface_supremum`` for constant h.
     """
     if S0 < a0 * length:
         raise ConfigError(
             f"surface budget S0={S0} below the degenerate minimum {a0 * length}"
         )
-    if params.is_constant_h and tip_includes_pi:
+    if params.is_constant_h:
         return surface_supremum(a0, length, S0, params)
     beta_nodes = params.beta(grid.nodes)
     if np.max(beta_nodes) > beta_nodes[0] * (1.0 + 1e-12):
@@ -130,10 +127,6 @@ def generalized_supremum(a0: float, length: float, S0: float,
     b = SurfaceMeasure.constant(a0, grid)
     T = solve_temperature(a, b, params, grid)
     base = heat_flux_relaxed(a, b, params, grid, T)
-    if not tip_includes_pi:
-        tip = params.beta_r * a0 ** 2 * (T.values[-1] - params.T_inf)
-        base -= params.k * np.pi * tip
-        base += params.k * tip
     inlet = params.k * np.pi * (S0 - a0 * length) * float(params.beta(0.0)) \
         * params.delta_T
     return float(base + inlet)

@@ -16,7 +16,7 @@ builds those designs explicitly:
   radius from a prescribed density; the density is constant on each cell, so
   rising and falling branches are exact circular arcs cell by cell and no
   ODE integrator is involved;
-* ``volume_constrained_profile`` - oscillating designs that stay inside a
+* ``volume_constrained_design`` - oscillating designs that stay inside a
   volume budget while their flux grows without bound.
 """
 
@@ -294,14 +294,6 @@ def radius_from_density(b: SurfaceMeasure, grid: Grid,
     if not specs:
         return RadiusProfile.constant(a0, grid)
     return reconstruct_radius(b, specs, a0, grid)
-
-
-def volume_constrained_profile(surface_target: float, V0: float, a0: float,
-                               grid: Grid, params: PhysicalParams | None = None,
-                               m_max: int = 1 << 20) -> RadiusProfile:
-    """Oscillating profile with surface ``n`` fitting the volume budget."""
-    return volume_constrained_design(surface_target, V0, a0, grid, params,
-                                     m_max)[0]
 
 
 def volume_constrained_design(surface_target: float, V0: float, a0: float,

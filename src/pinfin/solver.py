@@ -187,7 +187,7 @@ def closed_form_temperature(x, a0: float, length: float,
         raise ConfigError("evaluation points must lie in [0, L]")
     t = np.tanh(lam * length)
     r = beta_r / lam
-    gamma = (t + r) / (1.0 + r * t)
+    gamma = compute_gamma(a0, length, beta, beta_r)
     # cosh(lam x) - gamma sinh(lam x) = (1-gamma)/2 e^{lam x} + (1+gamma)/2 e^{-lam x}
     # with  (1-gamma) e^{lam x} = 2 (1-r) e^{lam (x-2L)} / ((1+rt)(1+e^{-2 lam L}))
     grow = (1.0 - r) / (1.0 + r * t) * np.exp(lam * (x - 2.0 * length)) \

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
+from pinfin import Grid
 from pinfin.cli import main
 from pinfin.config import load_config
 from pinfin.errors import ConfigError
@@ -250,6 +251,42 @@ def test_json_output_format(tmp_path):
 def test_missing_config_returns_config_error_code(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.yaml"),
                  "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("numerics", "n_cells", "abc"),
+    ("numerics", "n_cells", 4096.7),
+    ("numerics", "n_cells", True),
+    ("numerics", "max_iters", 100.5),
+    ("numerics", "seed", "3"),
+    ("profile", "m", 8.5),
+    ("constraint", "drop_cap", "false"),
+    ("constraint", "drop_cap", 0),
+])
+def test_config_rejects_non_integral_and_non_boolean_values(tmp_path, section,
+                                                           key, value):
+    # profile.m is read only when an oscillating profile is built
+    sections = {
+        "numerics": {"n_cells": 200},
+        "profile": {"kind": "oscillating", "S_times_a0_length": 3.0, "m": 8},
+        "constraint": {"kind": "surface", "S0_times_a0_length": 6.0,
+                       "M_mm": 25.0},
+    }
+    sections[section][key] = value
+    p = write_cfg(tmp_path, **{section: sections[section]})
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        load_config(p).radius_profile(Grid(0.1, 64))
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+
+
+def test_config_accepts_integral_values(tmp_path):
+    p = write_cfg(tmp_path, numerics={"n_cells": 256.0, "max_iters": 50,
+                                      "seed": 7},
+                  constraint={"kind": "surface", "S0_times_a0_length": 6.0,
+                              "M_mm": 25.0, "drop_cap": True})
+    cfg = load_config(p)
+    assert (cfg.n_cells, cfg.max_iters, cfg.seed, cfg.drop_cap) == (256, 50, 7, True)
+    assert isinstance(cfg.n_cells, int)
 
 
 def test_verify_exit_codes(tmp_path):

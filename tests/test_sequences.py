@@ -4,8 +4,8 @@ import pytest
 from pinfin import (ConfigError, Grid, PhysicalParams, SurfaceMeasure,
                     bang_density, heat_flux_relaxed, oscillating_profile,
                     oscillating_radius, oscillation_peak, solve_temperature,
-                    step_density, surface, switch_point, volume,
-                    volume_constrained_profile)
+                    step_density, surface, switch_point, volume)
+from pinfin.sequences import volume_constrained_design
 
 A0, ELL = 0.05, 1.0
 S = 1.5 * A0 * ELL
@@ -164,7 +164,7 @@ def test_volume_constrained_profile_small_case():
     grid = Grid(ell, 8192)
     n = 5
     V0 = 2 * a0 * a0 * ell
-    prof = volume_constrained_profile(n, V0, a0, grid, params)
+    prof = volume_constrained_design(n, V0, a0, grid, params)[0]
     assert volume(prof, grid) <= V0 - 1.0 / n + 1e-9
     assert surface(prof, grid) == pytest.approx(n, rel=5e-3)
     b = SurfaceMeasure.from_radius(prof, grid)
@@ -178,6 +178,6 @@ def test_volume_constrained_profile_rejects_bad_budgets():
     grid = Grid(0.2, 1024)
     params = PhysicalParams(k=10.0, h=0.25, h_r=0.0, T_d=10.0, T_inf=0.0)
     with pytest.raises(ConfigError):
-        volume_constrained_profile(5, 1.2 ** 2 * 0.2 * 0.5, 1.2, grid, params)
+        volume_constrained_design(5, 1.2 ** 2 * 0.2 * 0.5, 1.2, grid, params)
     with pytest.raises(ConfigError):
-        volume_constrained_profile(1, 2 * 1.2 ** 2 * 0.2, 1.2, grid, params)
+        volume_constrained_design(1, 2 * 1.2 ** 2 * 0.2, 1.2, grid, params)
