@@ -57,13 +57,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else default_config()
-    if args.n_cells is not None:
-        cfg.n_cells = int(args.n_cells)
-    if args.format is not None:
-        cfg.out_format = args.format
-    if args.seed is not None:
-        cfg.seed = int(args.seed)
-    return cfg
+    overrides = {"n_cells": args.n_cells, "out_format": args.format, "seed": args.seed}
+    # replace() re-runs the config's own checks on the overridden values
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _surface_budget(cfg: ExperimentConfig) -> float:
@@ -150,8 +146,7 @@ def _write_optim(cfg: ExperimentConfig, oc: OptimConfig, res: OptimResult,
 
 def cmd_optimize(cfg: ExperimentConfig, out: Path) -> int:
     grid = cfg.grid()
-    M = None if cfg.drop_cap else (cfg.M if cfg.M is not None else
-                                   (max(cfg.M_list) if cfg.M_list else None))
+    M = None if cfg.drop_cap else cfg.cap()
     if M is None and not cfg.drop_cap:
         raise ConfigError("constraint: need M_mm / M_list_mm, or drop_cap: true")
     oc = _optim_config(cfg, M, grid)
@@ -192,8 +187,8 @@ def cmd_sequence(cfg: ExperimentConfig, out: Path) -> int:
                     comment="oscillating profile with its exact step density",
                     fmt=fmt)
         return 0
-    if cfg.M is not None or cfg.M_list:
-        M = cfg.M if cfg.M is not None else max(cfg.M_list)
+    M = cfg.cap()
+    if M is not None:
         S0 = _surface_budget(cfg)
         b = bang_density(M, S0, cfg.a0, grid)
         write_table(out / "bang_density.csv", ["x_mid_m", "b_m"],

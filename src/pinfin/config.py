@@ -121,6 +121,18 @@ class ExperimentConfig:
     seed: int = 0
     out_format: str = "csv"
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"numerics.seed must be >= 0, got {self.seed}")
+        if self.max_iters < 1:
+            raise ConfigError(f"numerics.max_iters must be >= 1, got {self.max_iters}")
+
+    def cap(self) -> float | None:
+        """The one cap of a single run: M_mm, else the largest of M_list_mm."""
+        if self.M is not None:
+            return self.M
+        return max(self.M_list) if self.M_list else None
+
     def grid(self, n_cells: int | None = None) -> Grid:
         return Grid(self.length, n_cells or self.n_cells)
 

@@ -20,7 +20,7 @@ from .grid import Grid
 from .physics import PhysicalParams
 from .profiles import (FluxReport, RadiusProfile, SurfaceMeasure,
                        TemperatureField)
-from .solver import atom_node_weights, compute_gamma, reaction_weights, solve_temperature
+from .solver import FinSystem, compute_gamma, solve_temperature
 
 
 def volume(a: RadiusProfile, grid: Grid) -> float:
@@ -47,16 +47,7 @@ def heat_flux_relaxed(a: RadiusProfile, b: SurfaceMeasure,
                       T: TemperatureField) -> float:
     """Relaxed flux k pi [<beta b, theta> + beta_r a(L)^2 theta(L)]."""
     theta = _theta_nodes(T, params, grid)
-    w = params.beta(grid.midpoints) * b.density * grid.dx / 2.0
-    pairing = float(np.sum(w * (theta[:-1] + theta[1:])))
-    for pos, mass in b.atoms:
-        if mass == 0.0:
-            continue
-        bval = float(params.beta(pos))
-        for node, wgt in atom_node_weights(pos, grid):
-            pairing += wgt * bval * mass * theta[node]
-    tip = params.beta_r * a.values[-1] ** 2 * theta[-1]
-    return params.k * np.pi * (pairing + tip)
+    return FinSystem(a, params, grid).relaxed_flux(theta, b.density, b.atoms)
 
 
 def heat_flux_boundary(a: RadiusProfile, T: TemperatureField,
@@ -70,9 +61,8 @@ def heat_flux_boundary(a: RadiusProfile, T: TemperatureField,
     if b is None:
         b = SurfaceMeasure.from_radius(a, grid)
     theta = _theta_nodes(T, params, grid)
-    am = a.at_midpoints()
-    q_first = am[0] ** 2 * (theta[1] - theta[0]) / grid.dx
-    sink0 = reaction_weights(b, params, grid)[0] * theta[0]
+    q_first = a.at_midpoints()[0] ** 2 * (theta[1] - theta[0]) / grid.dx
+    sink0 = FinSystem(a, params, grid).reaction_weights(b.density, b.atoms)[0] * theta[0]
     return -params.k * np.pi * (q_first - sink0)
 
 
@@ -144,11 +134,8 @@ def flux_gradient_density(b: SurfaceMeasure, params: PhysicalParams,
     order.
     """
     theta = _theta_nodes(T, params, grid)
-    dT = params.delta_T
-    if dT == 0.0:
-        return np.zeros(grid.n_cells)
-    beta_mid = params.beta(grid.midpoints)
-    return params.k * np.pi * beta_mid * 0.5 * (theta[:-1] ** 2 + theta[1:] ** 2) / dT
+    # the radius does not enter the gradient; the kernel takes the floor's
+    return FinSystem(RadiusProfile.constant(b.floor, grid), params, grid).flux_gradient(theta)
 
 
 def directional_derivative(a: RadiusProfile, b: SurfaceMeasure,

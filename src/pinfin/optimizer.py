@@ -19,17 +19,19 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError
-from .functionals import flux_gradient_density, heat_flux_relaxed
+from .functionals import heat_flux_relaxed
 from .grid import Grid
 from .physics import PhysicalParams
 from .profiles import RadiusProfile, SurfaceMeasure
 from .sequences import bang_density, radius_from_density, switch_point
-from .solver import solve_temperature
+from .solver import FinSystem, solve_temperature
 
 # accepted objectives the nonmonotone Armijo test compares against; a
 # monotone test (memory 1) can freeze the iterates before the residual
 # meets its tolerance
 NONMONOTONE_MEMORY = 3
+ARMIJO = 1e-4          # sufficient-increase fraction of the predicted gain g.d
+MOVE_TOL = 1e-13       # relative to a0, stops when iterates freeze
 
 
 @dataclass
@@ -41,13 +43,13 @@ class OptimConfig:
     params: PhysicalParams
     max_iters: int = 20000
     pg_tol: float = 1e-11          # on the projected-gradient residual, W/m
-    move_tol: float = 1e-13        # relative to a0, stops when iterates freeze
-    armijo: float = 1e-4
     reconstruct: bool = True
 
     def __post_init__(self):
         if self.a0 <= 0.0:
             raise ConfigError(f"floor radius a0 must be positive, got {self.a0}")
+        if self.max_iters < 1:
+            raise ConfigError(f"max_iters must be at least 1, got {self.max_iters}")
         if self.S0 < self.a0 * self.grid.length:
             raise ConfigError(
                 f"surface budget S0={self.S0} below the degenerate minimum "
@@ -121,28 +123,23 @@ def project_box_budget(v: np.ndarray, lo: float, hi: float, budget: float,
     return np.clip(v - mu, lo, hi)
 
 
-def _objective_and_gradient(b_dens, cfg: OptimConfig, a: RadiusProfile):
-    b = SurfaceMeasure(b_dens.copy(), cfg.a0, cfg.grid.length)
-    T = solve_temperature(a, b, cfg.params, cfg.grid)
-    F = heat_flux_relaxed(a, b, cfg.params, cfg.grid, T)
-    g = flux_gradient_density(b, cfg.params, cfg.grid, T) * cfg.grid.dx
-    return F, g, T
-
-
 def optimize(cfg: OptimConfig) -> OptimResult:
     """Maximize the relaxed flux over the box-and-budget density set."""
-    grid, a0 = cfg.grid, cfg.a0
-    dx = grid.dx
+    grid, a0, dx = cfg.grid, cfg.a0, cfg.grid.dx
     hi = np.inf if cfg.M is None else cfg.M
-    a = RadiusProfile.constant(a0, grid)
+    system = FinSystem(RadiusProfile.constant(a0, grid), cfg.params, grid)
+
+    def evaluate(b):
+        theta = system.excess(b)
+        return system.relaxed_flux(theta, b), system.flux_gradient(theta) * dx, theta
+
     b = project_box_budget(np.full(grid.n_cells, cfg.S0 / grid.length),
                            a0, hi, cfg.S0, dx)
-    F, g, T = _objective_and_gradient(b, cfg, a)
+    F, g, theta = evaluate(b)
     trace = [F]
     step = a0 / (float(np.max(g)) + 1e-300)
     stop_reason = "max_iters"
     stall = 0
-    it = 0
     for it in range(1, cfg.max_iters + 1):
         accepted = False
         reference = min(trace[-NONMONOTONE_MEMORY:])
@@ -151,8 +148,8 @@ def optimize(cfg: OptimConfig) -> OptimResult:
             d = b_new - b
             if not np.any(d):
                 break
-            F_new, g_new, T_new = _objective_and_gradient(b_new, cfg, a)
-            if F_new >= reference + cfg.armijo * float(np.dot(g, d)):
+            F_new, g_new, theta_new = evaluate(b_new)
+            if F_new >= reference + ARMIJO * float(np.dot(g, d)):
                 accepted = True
                 break
             step *= 0.5
@@ -165,9 +162,9 @@ def optimize(cfg: OptimConfig) -> OptimResult:
         curvature = float(np.dot(d, g - g_new))
         if curvature > 0.0:
             step = float(np.dot(d, d)) / curvature
-        b, F, g, T = b_new, F_new, g_new, T_new
+        b, F, g, theta = b_new, F_new, g_new, theta_new
         trace.append(F)
-        if move <= cfg.move_tol * a0:
+        if move <= MOVE_TOL * a0:
             stop_reason = "move_tol"
             break
         stall = stall + 1 if gain < 1e-15 else 0
@@ -186,9 +183,7 @@ def optimize(cfg: OptimConfig) -> OptimResult:
     switch = float((upper_cells[-1] + 1) * dx) if upper_cells.size else 0.0
 
     measure = SurfaceMeasure(b, a0, grid.length)
-    a_opt = None
-    if cfg.reconstruct:
-        a_opt = radius_from_density(measure, grid)
+    a_opt = radius_from_density(measure, grid) if cfg.reconstruct else None
     return OptimResult(
         b_opt=measure,
         a_opt=a_opt,
@@ -201,7 +196,7 @@ def optimize(cfg: OptimConfig) -> OptimResult:
         pg_residual=pg_res,
         budget_active=dx * b.sum() >= cfg.S0 * (1.0 - 1e-9),
         stop_reason=stop_reason,
-        temperature=T.values,
+        temperature=cfg.params.T_inf + theta,
     )
 
 
@@ -254,9 +249,5 @@ def iter_sweep_M(cfg: OptimConfig, M_list, include_uncapped: bool = False):
 
 
 def sweep_M(cfg: OptimConfig, M_list, include_uncapped: bool = False) -> list[OptimResult]:
-    """One optimization per cap; caps must be increasing.
-
-    Each run owns independent state, so members could be dispatched
-    concurrently; they are executed sequentially here.
-    """
+    """One optimization per cap, in order; caps must be increasing."""
     return list(iter_sweep_M(cfg, M_list, include_uncapped))

@@ -7,7 +7,7 @@ coordinate; the reaction coefficient used by the solver is ``2 h(x) / k`` and
 the tip coefficient is ``h_r / k``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -15,6 +15,8 @@ import numpy as np
 from .errors import ConfigError
 
 HCoefficient = Union[float, Callable[[np.ndarray], np.ndarray]]
+
+H_FLOOR = 1e-12        # lower bound enforced on h(x); keeps the reaction coercive
 
 
 @dataclass
@@ -28,7 +30,6 @@ class PhysicalParams:
     h_r : tip convective coefficient, W/(m^2 K).
     T_d : inlet temperature, degC.
     T_inf : ambient fluid temperature, degC.
-    h_floor : lower bound enforced on h(x); keeps the reaction coercive.
     """
 
     k: float
@@ -36,7 +37,6 @@ class PhysicalParams:
     h_r: float
     T_d: float
     T_inf: float
-    h_floor: float = field(default=1e-12, repr=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.k) and self.k > 0.0):
@@ -49,8 +49,8 @@ class PhysicalParams:
             raise ConfigError(
                 f"inlet temperature T_d={self.T_d} must not be below T_inf={self.T_inf}"
             )
-        if self.is_constant_h and (not np.isfinite(self.h) or self.h < self.h_floor):
-            raise ConfigError(f"h must be >= {self.h_floor}, got {self.h}")
+        if self.is_constant_h and (not np.isfinite(self.h) or self.h < H_FLOOR):
+            raise ConfigError(f"h must be >= {H_FLOOR}, got {self.h}")
 
     @property
     def is_constant_h(self) -> bool:
@@ -72,9 +72,9 @@ class PhysicalParams:
             vals = np.asarray(self.h(x), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ConfigError("h(x) produced non-finite values")
-        if np.any(vals < self.h_floor):
+        if np.any(vals < H_FLOOR):
             raise ConfigError(
-                f"h(x) drops below the configured floor {self.h_floor}; "
+                f"h(x) drops below the floor {H_FLOOR}; "
                 "the lateral surface may not be insulated"
             )
         return vals

@@ -33,6 +33,8 @@ from .profiles import RadiusProfile, SurfaceMeasure
 from .solver import compute_gamma, solve_temperature
 
 MIN_CELLS_PER_HALF_PERIOD = 8
+CELLS_PER_OSCILLATION = 16   # of a loaded run, in radius_from_density
+M_MAX = 1 << 20              # largest oscillation count volume designs try
 
 
 @dataclass(frozen=True)
@@ -272,8 +274,7 @@ def reconstruct_radius(b: SurfaceMeasure, specs: list[OscillationSpec],
     return RadiusProfile(np.maximum(values, a_boundary), b.floor, grid.length)
 
 
-def radius_from_density(b: SurfaceMeasure, grid: Grid,
-                        cells_per_oscillation: int = 16) -> RadiusProfile:
+def radius_from_density(b: SurfaceMeasure, grid: Grid) -> RadiusProfile:
     """Reconstruct a radius for a density via oscillations on its loaded runs."""
     a0 = b.floor
     excess = b.density > a0 * (1.0 + 1e-9)
@@ -286,7 +287,7 @@ def radius_from_density(b: SurfaceMeasure, grid: Grid,
             while j + 1 < n and excess[j + 1]:
                 j += 1
             run_cells = j - i + 1
-            n_osc = max(1, run_cells // cells_per_oscillation)
+            n_osc = max(1, run_cells // CELLS_PER_OSCILLATION)
             specs.append(OscillationSpec(i * grid.dx, (j + 1) * grid.dx, n_osc))
             i = j + 1
         else:
@@ -296,9 +297,9 @@ def radius_from_density(b: SurfaceMeasure, grid: Grid,
     return reconstruct_radius(b, specs, a0, grid)
 
 
-def volume_constrained_design(surface_target: float, V0: float, a0: float,
-                              grid: Grid, params: PhysicalParams | None = None,
-                              m_max: int = 1 << 20) -> tuple[RadiusProfile, int]:
+def volume_constrained_design(
+        surface_target: float, V0: float, a0: float, grid: Grid,
+        params: PhysicalParams | None = None) -> tuple[RadiusProfile, int]:
     """Oscillating profile (and its oscillation count) inside a volume budget.
 
     Returns the design with the smallest oscillation count m such that its
@@ -341,9 +342,9 @@ def volume_constrained_design(surface_target: float, V0: float, a0: float,
     m_lo = m
     while not feasible(m):
         m *= 2
-        if m > m_max:
+        if m > M_MAX:
             raise NumericalError(
-                f"no oscillation count up to {m_max} meets the volume/flux targets"
+                f"no oscillation count up to {M_MAX} meets the volume/flux targets"
             )
     lo, hi = max(m // 2, m_lo - 1), m
     while hi - lo > 1:

@@ -49,75 +49,96 @@ def atom_node_weights(position: float, grid: Grid) -> list[tuple[int, float]]:
     return [(min(max(i, 0), grid.n_cells), 1.0)]
 
 
-def reaction_weights(b: SurfaceMeasure, params: PhysicalParams,
-                     grid: Grid) -> np.ndarray:
-    """Control-volume integrals of beta*b, per node, atoms included.
+class FinSystem:
+    """The discrete fin operator of one radius profile, built once.
 
-    The weight of node 0 never enters the solve (Dirichlet row) but closes the
-    discrete flux balance; atoms exactly at x = 0 are excluded here because
-    they are invisible to the state equation.
+    Holds the face conductances ``a_mid^2 / dx``, the Robin tip coefficient
+    ``beta_r a(L)^2`` and ``beta`` at the cell midpoints.  Every rule that
+    turns a surface measure into the discrete problem lives here: the
+    control-volume reaction weights, the SPD tridiagonal solve, the relaxed
+    flux pairing and its gradient.  Measures enter as a cell density plus
+    ``(position, mass)`` atoms.
     """
-    n = grid.n_cells
-    if b.density.size != n:
-        raise ConfigError("surface measure does not match the grid")
-    w = params.beta(grid.midpoints) * b.density * grid.dx / 2.0
-    m = np.zeros(n + 1)
-    m[:-1] += w
-    m[1:] += w
-    for pos, mass in b.atoms:
-        if pos == 0.0 or mass == 0.0:
-            continue
-        bval = float(params.beta(pos))
-        for node, wgt in atom_node_weights(pos, grid):
-            m[node] += wgt * bval * mass
-    return m
 
+    def __init__(self, a: RadiusProfile, params: PhysicalParams, grid: Grid):
+        if a.values.size != grid.n_cells + 1:
+            raise ConfigError("radius profile does not match the grid")
+        self.params, self.grid = params, grid
+        am = a.at_midpoints()
+        self.conductance = am * am / grid.dx
+        self.robin = params.beta_r * a.values[-1] ** 2
+        self.beta_mid = params.beta(grid.midpoints)
 
-def _face_conductances(a: RadiusProfile, grid: Grid) -> np.ndarray:
-    if a.values.size != grid.n_cells + 1:
-        raise ConfigError("radius profile does not match the grid")
-    am = a.at_midpoints()
-    return am * am / grid.dx
+    def _cell_weights(self, density: np.ndarray) -> np.ndarray:
+        """Half-cell integrals of beta*b, each shared by the cell's two nodes."""
+        if density.size != self.grid.n_cells:
+            raise ConfigError("surface measure does not match the grid")
+        return self.beta_mid * density * self.grid.dx / 2.0
 
+    def _atom_loads(self, atoms, with_inlet: bool):
+        """``(node, beta * mass * share)`` per node an atom reaches; x = 0 if ``with_inlet``."""
+        for pos, mass in atoms:
+            if mass == 0.0 or (pos == 0.0 and not with_inlet):
+                continue
+            bval = float(self.params.beta(pos))
+            for node, wgt in atom_node_weights(pos, self.grid):
+                yield node, wgt * bval * mass
 
-def _solve_reduced(s: np.ndarray, m: np.ndarray, robin: float,
-                   rhs: np.ndarray) -> np.ndarray:
-    """Solve the SPD tridiagonal system for nodes 1..n."""
-    n = s.size
-    diag = np.empty(n)
-    diag[:-1] = s[:-1] + s[1:] + m[1:-1]
-    diag[-1] = s[-1] + m[-1] + robin
-    ab = np.zeros((2, n))
-    ab[0, 1:] = -s[1:]
-    ab[1, :] = diag
-    try:
-        return solveh_banded(ab, rhs, lower=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - invariant breach
-        raise NumericalError(f"singular temperature system: {exc}") from exc
+    def reaction_weights(self, density: np.ndarray, atoms=()) -> np.ndarray:
+        """Per-node control-volume integrals of beta*b; node 0 only closes the balance."""
+        w = self._cell_weights(density)
+        m = np.zeros(self.grid.n_cells + 1)
+        m[:-1] += w
+        m[1:] += w
+        for node, load in self._atom_loads(atoms, with_inlet=False):
+            m[node] += load
+        return m
+
+    def solve(self, m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve the SPD tridiagonal system for nodes 1..n."""
+        s = self.conductance
+        ab = np.zeros((2, s.size))
+        ab[0, 1:] = -s[1:]
+        ab[1, :-1] = s[:-1] + s[1:] + m[1:-1]
+        ab[1, -1] = s[-1] + m[-1] + self.robin
+        try:
+            return solveh_banded(ab, rhs, lower=False)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - invariant breach
+            raise NumericalError(f"singular temperature system: {exc}") from exc
+
+    def excess(self, density: np.ndarray, atoms=()) -> np.ndarray:
+        """Nodal excess temperature theta = T - T_inf, theta(0) = T_d - T_inf."""
+        dT = self.params.delta_T
+        rhs = np.zeros(self.grid.n_cells)
+        rhs[0] = self.conductance[0] * dT
+        return np.concatenate(([dT], self.solve(self.reaction_weights(density, atoms), rhs)))
+
+    def relaxed_flux(self, theta: np.ndarray, density: np.ndarray,
+                     atoms=()) -> float:
+        """k pi [<beta b, theta> + beta_r a(L)^2 theta(L)], inlet atoms included."""
+        w = self._cell_weights(density)
+        pairing = float(np.sum(w * (theta[:-1] + theta[1:])))
+        for node, load in self._atom_loads(atoms, with_inlet=True):
+            pairing += load * theta[node]
+        return self.params.k * np.pi * (pairing + self.robin * theta[-1])
+
+    def flux_gradient(self, theta: np.ndarray) -> np.ndarray:
+        """Relaxed-flux derivative per unit of surface mass added to each cell."""
+        k, dT = self.params.k, self.params.delta_T
+        if dT == 0.0:
+            return np.zeros(self.grid.n_cells)
+        return k * np.pi * self.beta_mid * 0.5 * (theta[:-1] ** 2 + theta[1:] ** 2) / dT
 
 
 def solve_temperature(a: RadiusProfile, b: SurfaceMeasure,
                       params: PhysicalParams, grid: Grid) -> TemperatureField:
     """Finite-volume solution of the temperature equation.
 
-    Parameters
-    ----------
-    a : radius profile (enters through the flux coefficient a^2).
-    b : lateral surface measure (density at midpoints plus atoms).
-    params : physical data; beta(x) may vary along the fin.
-    grid : uniform staggered grid.
-
-    Returns
-    -------
-    TemperatureField with nodal values, T(0) = T_d exactly.
+    The radius ``a`` enters through the flux coefficient a^2 and the surface
+    measure ``b`` (density at midpoints plus atoms) through the reaction;
+    beta(x) may vary along the fin.  The nodal values have T(0) = T_d exactly.
     """
-    s = _face_conductances(a, grid)
-    m = reaction_weights(b, params, grid)
-    robin = params.beta_r * a.values[-1] ** 2
-    dT = params.delta_T
-    rhs = np.zeros(grid.n_cells)
-    rhs[0] = s[0] * dT
-    theta = np.concatenate(([dT], _solve_reduced(s, m, robin, rhs)))
+    theta = FinSystem(a, params, grid).excess(b.density, b.atoms)
     return TemperatureField(params.T_inf + theta, grid.length, excess=theta)
 
 
@@ -137,17 +158,17 @@ def solve_linearized(a: RadiusProfile, b: SurfaceMeasure, params: PhysicalParams
         raise ConfigError(f"swap point x0={x0} must be strictly inside (0, L)")
     if not (c > 0.0):
         raise ConfigError(f"swap amplitude c must be positive, got {c}")
-    s = _face_conductances(a, grid)
-    m = reaction_weights(b, params, grid)
-    robin = params.beta_r * a.values[-1] ** 2
+    system = FinSystem(a, params, grid)
+    m = system.reaction_weights(b.density, b.atoms)
     theta_x0 = T.theta_at(x0, grid, params)
     strength = float(params.beta(x0)) * c * theta_x0
     rhs = np.zeros(grid.n_cells)
     for node, wgt in atom_node_weights(x0, grid):
         if node >= 1:
             rhs[node - 1] += wgt * strength
-    tilde = np.concatenate(([0.0], _solve_reduced(s, m, robin, rhs)))
+    tilde = np.concatenate(([0.0], system.solve(m, rhs)))
 
+    s = system.conductance
     i0 = atom_node_weights(x0, grid)[0][0]
     i0 = min(max(i0, 1), grid.n_cells - 1)
     q_left = s[i0 - 1] * (tilde[i0] - tilde[i0 - 1])

@@ -284,7 +284,7 @@ def check_concentration(cfg: ExperimentConfig) -> Item:
     xm = grid.midpoints
     h = cfg.h_profile
     if kind == "step" or (kind == "affine" and h.end < h.start):
-        M = max(cfg.M_list) if cfg.M_list else cfg.M
+        M = cfg.cap()
         if M is None:
             return _skip("concentration_behavior", "requires a cap M")
         if kind == "step":

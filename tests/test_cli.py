@@ -10,6 +10,7 @@ from pinfin.cli import main
 from pinfin.config import load_config
 from pinfin.errors import ConfigError
 from pinfin.io import read_table, write_table
+from pinfin.verification import check_concentration
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -287,6 +288,37 @@ def test_config_accepts_integral_values(tmp_path):
     cfg = load_config(p)
     assert (cfg.n_cells, cfg.max_iters, cfg.seed, cfg.drop_cap) == (256, 50, 7, True)
     assert isinstance(cfg.n_cells, int)
+
+
+@pytest.mark.parametrize("command, numerics, argv, key", [
+    ("verify", {"n_cells": 200, "seed": -1}, [], "numerics.seed"),
+    ("verify", {"n_cells": 200}, ["--seed", "-2"], "numerics.seed"),
+    ("optimize", {"n_cells": 200, "max_iters": 0}, [], "numerics.max_iters"),
+    ("optimize", {"n_cells": 200, "max_iters": -5}, [], "numerics.max_iters"),
+])
+def test_negative_seed_and_nonpositive_max_iters_are_config_errors(
+        tmp_path, capsys, command, numerics, argv, key):
+    p = write_cfg(tmp_path, numerics=numerics)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(p), "--out", str(out), *argv]) == 1
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
+def test_optimize_sequence_and_verify_take_the_same_cap(tmp_path):
+    # M_mm wins over M_list_mm for every single-cap run
+    raw = yaml.safe_load((CONFIGS / "decreasing_h.yaml").read_text())
+    raw["constraint"].update(M_mm=6.25, M_list_mm=[6.25, 50.0])
+    p = tmp_path / "both_caps.yaml"
+    p.write_text(yaml.safe_dump(raw))
+    cfg = load_config(p)
+    assert check_concentration(cfg).detail.endswith("at M=0.00625")
+    assert cfg.cap() == 6.25e-3
+    out = tmp_path / "o"
+    assert main(["optimize", "--config", str(p), "--out", str(out)]) == 0
+    assert json.loads((out / "structure_report.json").read_text())["cap_M_m"] == 6.25e-3
+    assert main(["sequence", "--config", str(p), "--out", str(out)]) == 0
+    assert "switch at x=0.038095238095238099 m" in (out / "bang_density.csv").read_text()
 
 
 def test_verify_exit_codes(tmp_path):

@@ -168,6 +168,12 @@ def test_converged_means_the_residual_met_its_tolerance():
     assert res.pg_residual > cfg.pg_tol and not res.converged
 
 
+def test_optimizer_rejects_a_nonpositive_iteration_limit():
+    for max_iters in (0, -5):
+        with pytest.raises(ConfigError, match="max_iters"):
+            make_cfg(max_iters=max_iters)
+
+
 def assert_best_objective_returned(res):
     # the nonmonotone line search may dip between accepted steps, but the
     # run must not end below the best objective it visited
@@ -190,6 +196,27 @@ def test_nonmonotone_search_converges_on_step_convection():
                                reconstruct=False))
     assert res.converged, (res.stop_reason, res.pg_residual)
     assert_best_objective_returned(res)
+
+
+@pytest.mark.parametrize("name", ["constant_h.yaml", "increasing_h.yaml"])
+def test_optimizer_and_public_functionals_share_one_kernel(name):
+    cfg = load_config(CONFIGS / name)
+    oc = OptimConfig(a0=cfg.a0, S0=cfg.S0, M=None if cfg.drop_cap else cfg.cap(),
+                     grid=cfg.grid(), params=cfg.params(), reconstruct=False)
+    res = optimize(oc)
+    a = RadiusProfile.constant(cfg.a0, oc.grid)
+    T = solve_temperature(a, res.b_opt, oc.params, oc.grid)
+    assert res.objective == heat_flux_relaxed(a, res.b_opt, oc.params, oc.grid, T)
+    assert np.array_equal(res.temperature, T.values)
+
+
+def test_optimize_evaluates_beta_once_per_run(monkeypatch):
+    calls = []
+    beta = PhysicalParams.beta
+    monkeypatch.setattr(PhysicalParams, "beta",
+                        lambda self, x: calls.append(x) or beta(self, x))
+    res = optimize(make_cfg())
+    assert res.n_iterations > 1 and len(calls) == 1
 
 
 def test_optimizer_kkt_structure_constant_h():
