@@ -6,6 +6,7 @@ quoted) and converted to SI on ingestion.  Everything downstream of this
 module is strict SI.
 """
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,6 +22,21 @@ from .sequences import oscillating_profile, step_density
 MM = 1e-3
 MM2 = 1e-6
 MM3 = 1e-9
+
+
+class _ConfigLoader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 floats such as ``1e-3`` and ``2E+1``.
+
+    PyYAML follows YAML 1.1, where an exponent needs a dot and a signed
+    power, so those spellings would load as strings.  Quoted scalars are
+    never resolved implicitly and stay strings.
+    """
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."))
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -187,7 +203,7 @@ class ExperimentConfig:
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(), Loader=_ConfigLoader)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except yaml.YAMLError as exc:

@@ -21,10 +21,18 @@ their position (split evenly when the position falls exactly on a volume
 face).  An atom exactly at x = 0 does not enter the state equation at all: the
 admissible test functions vanish there, so inlet mass affects only the relaxed
 flux functional.
+
+The tridiagonal solve calls LAPACK ``dptsv`` from the OpenBLAS that numpy's
+manylinux wheel bundles (ILP64, symbol ``scipy_dptsv_64_`` from numpy 2.0 on,
+``dptsv_64_`` before), so importing this module does not import scipy.  Where
+no such library is found (numpy from conda, MKL or a distro build), scipy's
+own ``dptsv`` wrapper is imported at the first solve instead.
 """
 
+import ctypes
+from pathlib import Path
+
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .errors import ConfigError, NumericalError
 from .grid import Grid
@@ -32,6 +40,47 @@ from .physics import PhysicalParams
 from .profiles import LinearizedField, RadiusProfile, SurfaceMeasure, TemperatureField
 
 _FACE_TIE_TOL = 1e-12
+
+
+def _bundled_dptsv():
+    """``dptsv`` from numpy's bundled ILP64 OpenBLAS as a ctypes function, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("lib*openblas64*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for name in ("scipy_dptsv_64_", "dptsv_64_"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.restype = None
+                fn.argtypes = [ctypes.c_void_p] * 7
+                return fn
+    return None
+
+
+def _lapack_dptsv(w: np.ndarray, n: int) -> int:
+    """Solve the packed system ``w = d | e | b`` in place; returns LAPACK's info."""
+    p, step = w.ctypes.data, w.itemsize
+    size, one, info = ctypes.c_int64(n), ctypes.c_int64(1), ctypes.c_int64(0)
+    _BUNDLED(ctypes.byref(size), ctypes.byref(one), p, p + step * n,
+             p + step * (2 * n - 1), ctypes.byref(size), ctypes.byref(info))
+    return info.value
+
+
+def _scipy_dptsv(w: np.ndarray, n: int) -> int:
+    """``_lapack_dptsv`` through scipy's wrapper of the same routine."""
+    from scipy.linalg.lapack import dptsv
+    b = w[2 * n - 1:]
+    e = w[n:2 * n - 1] if n > 1 else np.zeros(1)   # the wrapper wants e.size >= 1
+    _, _, x, info = dptsv(w[:n], e, b, overwrite_d=True, overwrite_e=True,
+                          overwrite_b=True)
+    b[:] = x   # a self-copy when scipy solved in place
+    return info
+
+
+_BUNDLED = _bundled_dptsv()
+_dptsv = _scipy_dptsv if _BUNDLED is None else _lapack_dptsv
 
 
 def atom_node_weights(position: float, grid: Grid) -> list[tuple[int, float]]:
@@ -97,14 +146,20 @@ class FinSystem:
     def solve(self, m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve the SPD tridiagonal system for nodes 1..n."""
         s = self.conductance
-        ab = np.zeros((2, s.size))
-        ab[0, 1:] = -s[1:]
-        ab[1, :-1] = s[:-1] + s[1:] + m[1:-1]
-        ab[1, -1] = s[-1] + m[-1] + self.robin
-        try:
-            return solveh_banded(ab, rhs, lower=False)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - invariant breach
-            raise NumericalError(f"singular temperature system: {exc}") from exc
+        n = s.size
+        w = np.empty(3 * n - 1)   # one buffer, which dptsv overwrites
+        d, e, b = w[:n], w[n:2 * n - 1], w[2 * n - 1:]
+        d[:-1] = s[:-1] + s[1:] + m[1:-1]
+        d[-1] = s[-1] + m[-1] + self.robin
+        np.negative(s[1:], out=e)
+        b[:] = rhs
+        if not np.isfinite(w).all():
+            raise NumericalError("temperature system has non-finite entries "
+                                 "(k, h or the geometry overflow)")
+        info = _dptsv(w, n)
+        if info != 0:
+            raise NumericalError(f"singular temperature system: dptsv info={info}")
+        return b
 
     def excess(self, density: np.ndarray, atoms=()) -> np.ndarray:
         """Nodal excess temperature theta = T - T_inf, theta(0) = T_d - T_inf."""

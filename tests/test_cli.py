@@ -73,6 +73,25 @@ def test_config_errors_name_the_field(tmp_path):
         load_config(p)
 
 
+@pytest.mark.parametrize("spelling, value", [
+    ("1e-3", 1e-3), ("6e0", 6.0), ("1.0e5", 1e5), ("2E+1", 20.0)])
+def test_config_reads_yaml_1_2_floats(tmp_path, spelling, value):
+    # PyYAML's YAML 1.1 resolver loads each of these spellings as a string
+    p = write_cfg(tmp_path)
+    p.write_text(p.read_text().replace("S0_times_a0_length: 6.0",
+                                       f"S0_times_a0_length: {spelling}"))
+    cfg = load_config(p)
+    assert cfg.S0 == value * cfg.a0 * cfg.length
+
+
+def test_config_rejects_a_quoted_number(tmp_path):
+    p = write_cfg(tmp_path)
+    p.write_text(p.read_text().replace("S0_times_a0_length: 6.0",
+                                       'S0_times_a0_length: "1e-3"'))
+    with pytest.raises(ConfigError, match="expected a number, got '1e-3'"):
+        load_config(p)
+
+
 # ------------------------------------------------------------------ solve
 
 def test_solve_outputs_and_roundtrip(tmp_path):
@@ -352,6 +371,18 @@ def test_numerical_failure_maps_to_exit_code_3(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "cmd_solve", boom)
     p = write_cfg(tmp_path)
     assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
+
+
+def test_overflowing_system_is_a_numerical_failure(tmp_path, capsys):
+    # beta = 2 h / k overflows: a solve must refuse the non-finite system
+    p = write_cfg(tmp_path, physics={"k": 1.0e-308, "h": 10.0, "h_r": "h(l)",
+                                     "T_d": 10.0, "T_inf": 0.0})
+    for command in ("solve", "optimize"):
+        with np.errstate(over="ignore"):
+            code = main([command, "--config", str(p), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "numerical failure: temperature system has non-finite entries" \
+            in capsys.readouterr().err
 
 
 def test_shipped_configs_parse():

@@ -1,8 +1,15 @@
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from pinfin import (ConfigError, Grid, PhysicalParams, RadiusProfile,
                     SurfaceMeasure, closed_form_temperature, solve_temperature)
+from pinfin import solver
+from pinfin.errors import NumericalError
 from pinfin.randoms import random_pair
 
 from conftest import A0, LENGTH, constant_fin, rel_linf
@@ -147,3 +154,61 @@ def test_variable_h_profile_solves(demo_params):
     # stronger convection than the constant-10 case everywhere except the tip
     T_ref = solve_temperature(a, b, demo_params, grid).values
     assert T[grid.n_cells // 2] < T_ref[grid.n_cells // 2]
+
+
+# ------------------------------------------------------------------ LAPACK paths
+
+def _random_system(rng, n):
+    """Face conductances, Robin term, reaction weights and rhs of an n-node system."""
+    system = SimpleNamespace(conductance=rng.uniform(0.5, 2.0, n),
+                             robin=rng.uniform(0.0, 1.0))
+    return system, rng.uniform(0.0, 1.0, n + 1), rng.uniform(-1.0, 1.0, n)
+
+
+@pytest.mark.skipif(solver._BUNDLED is None,
+                    reason="numpy has no bundled ILP64 OpenBLAS here")
+@pytest.mark.parametrize("n", [1, 2, 500, 4096])
+def test_bundled_and_scipy_dptsv_agree_bitwise(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    system, m, rhs = _random_system(rng, n)
+    fast = solver.FinSystem.solve(system, m, rhs)
+    monkeypatch.setattr(solver, "_dptsv", solver._scipy_dptsv)
+    assert np.array_equal(solver.FinSystem.solve(system, m, rhs), fast)
+    if n <= 500:
+        s = system.conductance
+        d = np.append(s[:-1] + s[1:] + m[1:-1], s[-1] + m[-1] + system.robin)
+        dense = np.diag(d) - np.diag(s[1:], 1) - np.diag(s[1:], -1)
+        assert np.allclose(dense @ fast, rhs, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("path", ["bound", "scipy"])
+def test_both_dptsv_paths_raise_on_indefinite_or_nan_systems(monkeypatch, path):
+    if path == "scipy":
+        monkeypatch.setattr(solver, "_dptsv", solver._scipy_dptsv)
+    rng = np.random.default_rng(7)
+    system, m, rhs = _random_system(rng, 50)
+    indefinite = m.copy()
+    indefinite[20] = -1e3
+    with pytest.raises(NumericalError, match="singular temperature system"):
+        solver.FinSystem.solve(system, indefinite, rhs)
+    bad_rhs = rhs.copy()
+    bad_rhs[10] = np.nan
+    with pytest.raises(NumericalError, match="non-finite"):
+        solver.FinSystem.solve(system, m, bad_rhs)
+    # the inputs are left as they were: the solve works on its own copies
+    assert np.isnan(bad_rhs[10]) and indefinite[20] == -1e3
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # a fresh interpreter, so no other test's scipy import can mask one here
+    probe = ("import sys, numpy, pinfin.cli, pinfin.solver as s; "
+             "print('scipy' in sys.modules, s._BUNDLED is not None, "
+             "numpy.__file__, sep='\\n')")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, cwd=src).stdout.splitlines()
+    scipy_loaded, bound, numpy_init = out[0] == "True", out[1] == "True", out[2]
+    assert not scipy_loaded
+    libs = Path(numpy_init).resolve().parent.parent / "numpy.libs"
+    if any(libs.glob("lib*openblas64*.so*")):
+        assert bound
