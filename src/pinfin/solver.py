@@ -22,11 +22,12 @@ face).  An atom exactly at x = 0 does not enter the state equation at all: the
 admissible test functions vanish there, so inlet mass affects only the relaxed
 flux functional.
 
-The tridiagonal solve calls LAPACK ``dptsv`` from the OpenBLAS that numpy's
-manylinux wheel bundles (ILP64, symbol ``scipy_dptsv_64_`` from numpy 2.0 on,
-``dptsv_64_`` before), so importing this module does not import scipy.  Where
-no such library is found (numpy from conda, MKL or a distro build), scipy's
-own ``dptsv`` wrapper is imported at the first solve instead.
+The tridiagonal solve calls LAPACK ``dptsv`` from the ILP64 OpenBLAS that
+numpy's manylinux wheel bundles (``numpy.libs/libscipy_openblas64_*.so``,
+symbol ``scipy_dptsv_64_``), so importing this module does not import scipy.
+Where that library or symbol is not found (numpy from conda, MKL, a distro
+build, or a wheel that names its OpenBLAS differently), scipy's own ``dptsv``
+wrapper is imported at the first solve instead.
 """
 
 import ctypes
@@ -43,20 +44,18 @@ _FACE_TIE_TOL = 1e-12
 
 
 def _bundled_dptsv():
-    """``dptsv`` from numpy's bundled ILP64 OpenBLAS as a ctypes function, or None."""
+    """``scipy_dptsv_64_`` from numpy's bundled OpenBLAS as a ctypes function, or None."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("lib*openblas64*.so*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        for name in ("scipy_dptsv_64_", "dptsv_64_"):
-            fn = getattr(lib, name, None)
-            if fn is not None:
-                fn.restype = None
-                fn.argtypes = [ctypes.c_void_p] * 7
-                return fn
-    return None
+    found = sorted(libs.glob("libscipy_openblas64_*.so*"))
+    if not found:
+        return None
+    try:
+        fn = ctypes.CDLL(str(found[0])).scipy_dptsv_64_
+    except (OSError, AttributeError):
+        return None
+    fn.restype = None
+    fn.argtypes = [ctypes.c_void_p] * 7
+    return fn
 
 
 def _lapack_dptsv(w: np.ndarray, n: int) -> int:

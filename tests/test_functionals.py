@@ -217,8 +217,9 @@ def test_generalized_supremum_decreasing_affine_high_res_assembly():
     b = SurfaceMeasure.constant(A0, fine)
     theta = solve_temperature(a, b, params, fine).values
     beta_nodes = params.beta(fine.nodes)
+    f = beta_nodes * theta   # trapezoid rule written out: numpy 1.x has no np.trapezoid
     ref = params.k * np.pi * (
-        A0 * np.trapezoid(beta_nodes * theta, fine.nodes)
+        A0 * (np.diff(fine.nodes) * (f[1:] + f[:-1]) / 2.0).sum()
         + (S0 - A0 * LENGTH) * beta_nodes[0] * params.delta_T
         + params.beta_r * A0 ** 2 * theta[-1])
     assert got == pytest.approx(ref, rel=1e-5)

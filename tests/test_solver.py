@@ -210,5 +210,5 @@ def test_cli_import_leaves_scipy_unloaded():
     scipy_loaded, bound, numpy_init = out[0] == "True", out[1] == "True", out[2]
     assert not scipy_loaded
     libs = Path(numpy_init).resolve().parent.parent / "numpy.libs"
-    if any(libs.glob("lib*openblas64*.so*")):
+    if any(libs.glob("libscipy_openblas64_*.so*")):
         assert bound
