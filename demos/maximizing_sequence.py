@@ -26,7 +26,7 @@ for m in (8, 16, 32, 64, 128):
                       a0, length)
     b = step_density(S0, m, a0, grid)       # exact lateral density
     T = solve_temperature(a, b, params, grid)
-    F = heat_flux_relaxed(a, b, params, grid, T)
+    F = heat_flux_relaxed(T)
     print(f"  {m:4d}   {oscillation_peak(S0, m, a0, length):.5f}"
           f"          {F:.6f}     {(sup - F) / sup:.2e}")
 print("  (the radius converges uniformly to the floor while the flux climbs)")
@@ -42,7 +42,7 @@ for n in (5, 10, 20):
     prof, m = volume_constrained_design(n, V0, a0v, gv, pv)
     b = step_density(n, m, a0v, gv)
     T = solve_temperature(prof, b, pv, gv)
-    F = heat_flux_relaxed(prof, b, pv, gv, T)
+    F = heat_flux_relaxed(T)
     print(f"   {n:6d}      {m:8d}         {volume(prof, gv):.6f}     {F:.4f}")
 print("  (volume stays inside the budget; flux grows linearly in the "
       "surface target)")

@@ -28,7 +28,7 @@ grid = Grid(length, 2048)
 a = RadiusProfile.constant(a0, grid)
 b = SurfaceMeasure.constant(a0, grid)
 T = solve_temperature(a, b, params, grid)
-rep = flux_report(a, b, params, grid, T)
+rep = flux_report(T)
 print("\n== flux balance for the cylindrical fin ==")
 print(f"  boundary form : {rep.boundary:.9f} W")
 print(f"  integral form : {rep.integral:.9f} W")
@@ -38,7 +38,7 @@ print("\n== tapered fin (cone) ==")
 cone = RadiusProfile.cone(a0, grid, slope=0.02)
 b_cone = SurfaceMeasure.from_radius(cone, grid)
 T_cone = solve_temperature(cone, b_cone, params, grid)
-rep_cone = flux_report(cone, b_cone, params, grid, T_cone)
+rep_cone = flux_report(T_cone)
 print(f"  flux {rep_cone.boundary:.6f} W vs cylinder {rep.boundary:.6f} W")
 print(f"  tip temperatures: cone {T_cone.values[-1]:.3f} C, "
       f"cylinder {T.values[-1]:.3f} C")
@@ -47,7 +47,7 @@ print("\n== surface concentrated at the inlet (relaxed design) ==")
 S0 = 6 * a0 * length
 b_atom = SurfaceMeasure.constant(a0, grid).with_atom(0.0, S0 - a0 * length)
 T_atom = solve_temperature(a, b_atom, params, grid)
-rep_atom = flux_report(a, b_atom, params, grid, T_atom)
+rep_atom = flux_report(T_atom)
 sup = surface_supremum(a0, length, S0, params)
 print(f"  temperature unchanged by the inlet atom: "
       f"{np.array_equal(T.values, T_atom.values)}")

@@ -19,14 +19,14 @@ from .optimizer import (BangStructureReport, OptimConfig, OptimResult,
                         verify_bang_structure)
 from .physics import PhysicalParams
 from .profiles import (FluxReport, LinearizedField, RadiusProfile,
-                       SurfaceMeasure, TemperatureField,
-                       admissible_radius_bound, check_surface_bound)
+                       SurfaceMeasure, admissible_radius_bound,
+                       check_surface_bound)
 from .sequences import (OscillationSpec, bang_density, oscillating_profile,
                         oscillating_profile_volume, oscillating_radius,
                         oscillation_peak, reconstruct_radius, step_density,
                         switch_point)
-from .solver import (closed_form_temperature, compute_gamma, solve_linearized,
-                     solve_temperature)
+from .solver import (TemperatureField, closed_form_temperature, compute_gamma,
+                     solve_linearized, solve_temperature)
 
 __all__ = [
     "BangStructureReport", "ConfigError", "FluxReport", "Grid",

@@ -62,12 +62,6 @@ def _load(args) -> ExperimentConfig:
     return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
-def _surface_budget(cfg: ExperimentConfig) -> float:
-    if cfg.constraint_kind != "surface" or cfg.S0 is None:
-        raise ConfigError("this command needs constraint.kind=surface with a budget S0")
-    return cfg.S0
-
-
 def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
     grid = cfg.grid()
     params = cfg.params()
@@ -79,7 +73,7 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
     if cfg.S0 is not None:
         check_surface_bound(a, cfg.S0)
     T = solve_temperature(a, b, params, grid)
-    rep = flux_report(a, b, params, grid, T)
+    rep = flux_report(T)
     fmt = cfg.out_format
     write_table(out / "temperature.csv", ["x_m", "T_C"],
                 [grid.nodes, T.values], fmt=fmt)
@@ -93,11 +87,6 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
         "relative_gap": rep.relative_gap,
     })
     return 0
-
-
-def _optim_config(cfg: ExperimentConfig, M: float | None, grid) -> OptimConfig:
-    return OptimConfig(a0=cfg.a0, S0=_surface_budget(cfg), M=M, grid=grid,
-                       params=cfg.params(), max_iters=cfg.max_iters)
 
 
 def _write_optim(cfg: ExperimentConfig, oc: OptimConfig, res: OptimResult,
@@ -149,7 +138,7 @@ def cmd_optimize(cfg: ExperimentConfig, out: Path) -> int:
     M = None if cfg.drop_cap else cfg.cap()
     if M is None and not cfg.drop_cap:
         raise ConfigError("constraint: need M_mm / M_list_mm, or drop_cap: true")
-    oc = _optim_config(cfg, M, grid)
+    oc = cfg.optim_config(M, grid, reconstruct=True)
     res = optimize(oc)
     _write_optim(cfg, oc, res, out)
     return 0
@@ -158,7 +147,7 @@ def cmd_optimize(cfg: ExperimentConfig, out: Path) -> int:
 def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     if not cfg.M_list:
         raise ConfigError("constraint.M_list_mm is required for sweep")
-    base = _optim_config(cfg, None, cfg.grid())
+    base = cfg.optim_config(None, cfg.grid(), reconstruct=True)
     caps = sorted(cfg.M_list)
     summaries = []
     prev = -np.inf
@@ -189,7 +178,7 @@ def cmd_sequence(cfg: ExperimentConfig, out: Path) -> int:
         return 0
     M = cfg.cap()
     if M is not None:
-        S0 = _surface_budget(cfg)
+        S0 = cfg.surface_budget()
         b = bang_density(M, S0, cfg.a0, grid)
         write_table(out / "bang_density.csv", ["x_mid_m", "b_m"],
                     [grid.midpoints, b.density],

@@ -15,6 +15,7 @@ import yaml
 
 from .errors import ConfigError
 from .grid import Grid
+from .optimizer import OptimConfig
 from .physics import PhysicalParams
 from .profiles import RadiusProfile
 from .sequences import oscillating_profile, step_density
@@ -156,6 +157,18 @@ class ExperimentConfig:
         h = self.h_profile.value if self.h_profile.is_constant else self.h_profile
         return PhysicalParams(k=self.k, h=h, h_r=self.h_r,
                               T_d=self.T_d, T_inf=self.T_inf)
+
+    def surface_budget(self) -> float:
+        if self.constraint_kind != "surface" or self.S0 is None:
+            raise ConfigError("this command needs constraint.kind=surface with a budget S0")
+        return self.S0
+
+    def optim_config(self, M: float | None, grid: Grid,
+                     reconstruct: bool) -> OptimConfig:
+        """Optimizer settings for one cap ``M`` (None runs uncapped) on ``grid``."""
+        return OptimConfig(a0=self.a0, S0=self.surface_budget(), M=M, grid=grid,
+                           params=self.params(), max_iters=self.max_iters,
+                           reconstruct=reconstruct)
 
     def radius_profile(self, grid: Grid) -> RadiusProfile:
         kind = self.profile_kind

@@ -1,9 +1,12 @@
 """Volume, lateral surface and heat-flux functionals.
 
-Two discrete expressions of the inlet heat flux are provided.  The boundary
-form evaluates the finite-volume flux at the first face corrected by the
-inlet control-volume sink (a naive one-sided difference would break the
-balance); the relaxed form integrates ``beta * b * (T - T_inf)`` with the same
+The flux functionals read a solved ``TemperatureField``: it carries the
+``FinSystem`` kernel and the surface measure it was solved on, so nothing
+about the discrete problem is rebuilt or passed again.  Two discrete
+expressions of the inlet heat flux are provided.  The boundary form evaluates
+the finite-volume flux at the first face corrected by the inlet
+control-volume sink (a naive one-sided difference would break the balance);
+the relaxed form integrates ``beta * b * (T - T_inf)`` with the same
 trapezoidal cell weights used by the solver and adds the atom and tip terms.
 For atom-free data the two agree to roundoff by construction.  The relaxed
 form is the one that extends continuously to measures: mass sitting exactly
@@ -18,9 +21,8 @@ import numpy as np
 from .errors import ConfigError
 from .grid import Grid
 from .physics import PhysicalParams
-from .profiles import (FluxReport, RadiusProfile, SurfaceMeasure,
-                       TemperatureField)
-from .solver import FinSystem, compute_gamma, solve_temperature
+from .profiles import FluxReport, RadiusProfile, SurfaceMeasure
+from .solver import TemperatureField, compute_gamma, solve_temperature
 
 
 def volume(a: RadiusProfile, grid: Grid) -> float:
@@ -35,42 +37,23 @@ def surface(a: RadiusProfile, grid: Grid) -> float:
     return b.total(grid)
 
 
-def _theta_nodes(T: TemperatureField, params: PhysicalParams,
-                 grid: Grid) -> np.ndarray:
-    if T.values.size != grid.n_cells + 1:
-        raise ConfigError("temperature field does not match the grid")
-    return T.theta(params)
-
-
-def heat_flux_relaxed(a: RadiusProfile, b: SurfaceMeasure,
-                      params: PhysicalParams, grid: Grid,
-                      T: TemperatureField) -> float:
+def heat_flux_relaxed(T: TemperatureField) -> float:
     """Relaxed flux k pi [<beta b, theta> + beta_r a(L)^2 theta(L)]."""
-    theta = _theta_nodes(T, params, grid)
-    return FinSystem(a, params, grid).relaxed_flux(theta, b.density, b.atoms)
+    return T.system.relaxed_flux(T.excess, T.measure.density, T.measure.atoms)
 
 
-def heat_flux_boundary(a: RadiusProfile, T: TemperatureField,
-                       params: PhysicalParams, grid: Grid,
-                       b: SurfaceMeasure | None = None) -> float:
-    """Inlet flux -k pi a(0)^2 T'(0) in its conservative discrete form.
-
-    ``b`` defaults to the classical density of ``a``; pass the measure that
-    produced ``T`` when evaluating relaxed states.
-    """
-    if b is None:
-        b = SurfaceMeasure.from_radius(a, grid)
-    theta = _theta_nodes(T, params, grid)
-    q_first = a.at_midpoints()[0] ** 2 * (theta[1] - theta[0]) / grid.dx
-    sink0 = FinSystem(a, params, grid).reaction_weights(b.density, b.atoms)[0] * theta[0]
-    return -params.k * np.pi * (q_first - sink0)
+def heat_flux_boundary(T: TemperatureField) -> float:
+    """Inlet flux -k pi a(0)^2 T'(0) in its conservative discrete form."""
+    system, b, theta = T.system, T.measure, T.excess
+    q_first = system.a_mid[0] ** 2 * (theta[1] - theta[0]) / system.grid.dx
+    sink0 = system.reaction_weights(b.density, b.atoms)[0] * theta[0]
+    return -system.params.k * np.pi * (q_first - sink0)
 
 
-def flux_report(a: RadiusProfile, b: SurfaceMeasure, params: PhysicalParams,
-                grid: Grid, T: TemperatureField) -> FluxReport:
+def flux_report(T: TemperatureField) -> FluxReport:
     """Both flux expressions plus their relative gap."""
-    fb = heat_flux_boundary(a, T, params, grid, b)
-    fi = heat_flux_relaxed(a, b, params, grid, T)
+    fb = heat_flux_boundary(T)
+    fi = heat_flux_relaxed(T)
     scale = max(abs(fb), abs(fi), 1e-300)
     return FluxReport(fb, fi, abs(fb - fi) / scale)
 
@@ -115,15 +98,13 @@ def generalized_supremum(a0: float, length: float, S0: float,
         )
     a = RadiusProfile.constant(a0, grid)
     b = SurfaceMeasure.constant(a0, grid)
-    T = solve_temperature(a, b, params, grid)
-    base = heat_flux_relaxed(a, b, params, grid, T)
+    base = heat_flux_relaxed(solve_temperature(a, b, params, grid))
     inlet = params.k * np.pi * (S0 - a0 * length) * float(params.beta(0.0)) \
         * params.delta_T
     return float(base + inlet)
 
 
-def flux_gradient_density(b: SurfaceMeasure, params: PhysicalParams,
-                          grid: Grid, T: TemperatureField) -> np.ndarray:
+def flux_gradient_density(T: TemperatureField) -> np.ndarray:
     """Derivative of the relaxed flux per unit of added surface mass, by cell.
 
     The discrete objective equals the state energy divided by dT, so its exact
@@ -133,24 +114,20 @@ def flux_gradient_density(b: SurfaceMeasure, params: PhysicalParams,
     ``k pi beta(x) (T(x) - T_inf)^2 / dT`` and converges to it at second
     order.
     """
-    theta = _theta_nodes(T, params, grid)
-    # the radius does not enter the gradient; the kernel takes the floor's
-    return FinSystem(RadiusProfile.constant(b.floor, grid), params, grid).flux_gradient(theta)
+    return T.system.flux_gradient(T.excess)
 
 
-def directional_derivative(a: RadiusProfile, b: SurfaceMeasure,
-                           params: PhysicalParams, grid: Grid, x0: float,
-                           c: float) -> float:
+def directional_derivative(T: TemperatureField, x0: float, c: float) -> float:
     """Limit of (F(b_eps) - F(b)) / eps for the inlet-swap perturbation.
 
-    ``b_eps`` adds density c on [0, eps] and removes it on a symmetric window
-    at ``x0``; the limit is
+    ``b`` is the measure ``T`` was solved on; ``b_eps`` adds density c on
+    [0, eps] and removes it on a symmetric window at ``x0``; the limit is
     ``k pi c (beta(0) dT^2 - beta(x0) theta(x0)^2) / dT``.
     """
-    if not (0.0 < x0 < grid.length):
+    params = T.system.params
+    if not (0.0 < x0 < T.system.grid.length):
         raise ConfigError(f"swap point x0={x0} must be strictly inside (0, L)")
-    T = solve_temperature(a, b, params, grid)
-    theta_x0 = T.theta_at(x0, grid, params)
+    theta_x0 = T.theta_at(x0)
     dT = params.delta_T
     if dT == 0.0:
         return 0.0

@@ -219,8 +219,7 @@ def verify_bang_structure(res: OptimResult, cfg: OptimConfig) -> BangStructureRe
     between = int(np.sum(res.active_set == "free"))
     bang = bang_density(cfg.M, cfg.S0, cfg.a0, cfg.grid)
     a = RadiusProfile.constant(cfg.a0, cfg.grid)
-    T = solve_temperature(a, bang, cfg.params, cfg.grid)
-    F_bang = heat_flux_relaxed(a, bang, cfg.params, cfg.grid, T)
+    F_bang = heat_flux_relaxed(solve_temperature(a, bang, cfg.params, cfg.grid))
     return BangStructureReport(
         switch_measured=res.switch_estimate,
         switch_expected=xM,

@@ -51,6 +51,12 @@ class PhysicalParams:
             )
         if self.is_constant_h and (not np.isfinite(self.h) or self.h < H_FLOOR):
             raise ConfigError(f"h must be >= {H_FLOOR}, got {self.h}")
+        # a tiny k overflows the tip or reaction coefficient to inf
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.beta_r):
+                raise ConfigError(f"h_r / k overflows for h_r={self.h_r}, k={self.k}")
+            if self.is_constant_h and not np.isfinite(2.0 * self.h / self.k):
+                raise ConfigError(f"2 h / k overflows for h={self.h}, k={self.k}")
 
     @property
     def is_constant_h(self) -> bool:
@@ -81,7 +87,12 @@ class PhysicalParams:
 
     def beta(self, x) -> np.ndarray:
         """Lateral reaction coefficient 2 h(x) / k, in 1/m."""
-        return 2.0 * self.h_at(x) / self.k
+        h = self.h_at(x)
+        with np.errstate(over="ignore"):
+            vals = 2.0 * h / self.k
+        if not np.all(np.isfinite(vals)):
+            raise ConfigError(f"2 h(x) / k overflows for k={self.k}")
+        return vals
 
     def constant_beta(self) -> float:
         """Scalar beta for constant-h data; raises otherwise."""

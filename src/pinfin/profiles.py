@@ -1,4 +1,4 @@
-"""Geometric domain types: radius profiles, surface measures, fields.
+"""Radius profiles, surface measures, the sensitivity field and the flux report.
 
 The design variable of the optimization is not the radius itself but the
 lateral surface density ``b = a sqrt(1 + a'^2)``; ``SurfaceMeasure`` stores a
@@ -114,31 +114,6 @@ class SurfaceMeasure:
         if self.density.size != grid.n_cells:
             raise ConfigError("surface measure does not match the grid")
         return float(grid.dx * self.density.sum() + self.atom_mass())
-
-
-@dataclass
-class TemperatureField:
-    """Nodal temperatures in degC.
-
-    The solver also attaches the excess ``T - T_inf`` it computed internally;
-    downstream functionals prefer it, so tiny inlet/ambient gaps do not lose
-    relative accuracy to the reconstruction ``T_inf + theta``.
-    """
-
-    values: np.ndarray
-    length: float
-    excess: np.ndarray | None = None
-
-    def at(self, x, grid: Grid) -> float:
-        return float(np.interp(x, grid.nodes, self.values))
-
-    def theta(self, params) -> np.ndarray:
-        if self.excess is not None:
-            return self.excess
-        return self.values - params.T_inf
-
-    def theta_at(self, x, grid: Grid, params) -> float:
-        return float(np.interp(x, grid.nodes, self.theta(params)))
 
 
 @dataclass

@@ -330,8 +330,8 @@ def volume_constrained_design(
 
     def flux_of(m):
         prof = RadiusProfile(oscillating_radius(grid.nodes, n, m, a0, L), a0, L)
-        T = solve_temperature(prof, step_density(n, m, a0, grid), params, grid)
-        return heat_flux_relaxed(prof, step_density(n, m, a0, grid), params, grid, T)
+        return heat_flux_relaxed(
+            solve_temperature(prof, step_density(n, m, a0, grid), params, grid))
 
     def feasible(m):
         if oscillating_profile_volume(n, m, a0, L) > vol_budget:

@@ -31,6 +31,7 @@ wrapper is imported at the first solve instead.
 """
 
 import ctypes
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .grid import Grid
 from .physics import PhysicalParams
-from .profiles import LinearizedField, RadiusProfile, SurfaceMeasure, TemperatureField
+from .profiles import LinearizedField, RadiusProfile, SurfaceMeasure
 
 _FACE_TIE_TOL = 1e-12
 
@@ -100,19 +101,20 @@ def atom_node_weights(position: float, grid: Grid) -> list[tuple[int, float]]:
 class FinSystem:
     """The discrete fin operator of one radius profile, built once.
 
-    Holds the face conductances ``a_mid^2 / dx``, the Robin tip coefficient
-    ``beta_r a(L)^2`` and ``beta`` at the cell midpoints.  Every rule that
-    turns a surface measure into the discrete problem lives here: the
-    control-volume reaction weights, the SPD tridiagonal solve, the relaxed
-    flux pairing and its gradient.  Measures enter as a cell density plus
-    ``(position, mass)`` atoms.
+    Holds the midpoint radii ``a_mid``, the face conductances
+    ``a_mid^2 / dx``, the Robin tip coefficient ``beta_r a(L)^2`` and
+    ``beta`` at the cell midpoints.  Every rule that turns a surface measure
+    into the discrete problem lives here: the control-volume reaction
+    weights, the SPD tridiagonal solve, the relaxed flux pairing and its
+    gradient.  Measures enter as a cell density plus ``(position, mass)``
+    atoms.
     """
 
     def __init__(self, a: RadiusProfile, params: PhysicalParams, grid: Grid):
         if a.values.size != grid.n_cells + 1:
             raise ConfigError("radius profile does not match the grid")
         self.params, self.grid = params, grid
-        am = a.at_midpoints()
+        self.a_mid = am = a.at_midpoints()
         self.conductance = am * am / grid.dx
         self.robin = params.beta_r * a.values[-1] ** 2
         self.beta_mid = params.beta(grid.midpoints)
@@ -184,6 +186,29 @@ class FinSystem:
         return k * np.pi * self.beta_mid * 0.5 * (theta[:-1] ** 2 + theta[1:] ** 2) / dT
 
 
+@dataclass
+class TemperatureField:
+    """Nodal temperatures in degC, bound to the kernel that solved them.
+
+    ``excess`` is the ``T - T_inf`` the solver computed; functionals read it
+    rather than ``values - T_inf``, so tiny inlet/ambient gaps keep their
+    relative accuracy.  ``system`` and ``measure`` are the discrete operator
+    and the surface measure the field was solved on: the flux functionals
+    and the sensitivity solve read them instead of rebuilding the problem.
+    """
+
+    values: np.ndarray
+    excess: np.ndarray
+    system: FinSystem
+    measure: SurfaceMeasure
+
+    def at(self, x) -> float:
+        return float(np.interp(x, self.system.grid.nodes, self.values))
+
+    def theta_at(self, x) -> float:
+        return float(np.interp(x, self.system.grid.nodes, self.excess))
+
+
 def solve_temperature(a: RadiusProfile, b: SurfaceMeasure,
                       params: PhysicalParams, grid: Grid) -> TemperatureField:
     """Finite-volume solution of the temperature equation.
@@ -192,30 +217,30 @@ def solve_temperature(a: RadiusProfile, b: SurfaceMeasure,
     measure ``b`` (density at midpoints plus atoms) through the reaction;
     beta(x) may vary along the fin.  The nodal values have T(0) = T_d exactly.
     """
-    theta = FinSystem(a, params, grid).excess(b.density, b.atoms)
-    return TemperatureField(params.T_inf + theta, grid.length, excess=theta)
+    system = FinSystem(a, params, grid)
+    theta = system.excess(b.density, b.atoms)
+    return TemperatureField(params.T_inf + theta, theta, system, b)
 
 
-def solve_linearized(a: RadiusProfile, b: SurfaceMeasure, params: PhysicalParams,
-                     grid: Grid, T: TemperatureField, x0: float,
-                     c: float) -> LinearizedField:
+def solve_linearized(T: TemperatureField, x0: float, c: float) -> LinearizedField:
     """Sensitivity of the temperature to a surface swap toward the inlet.
 
-    Solves the same bilinear form as ``solve_temperature`` with homogeneous
-    Dirichlet data at x = 0 and a point load of strength
-    ``beta(x0) * c * (T(x0) - T_inf)`` on the control volume containing
-    ``x0``; this is the first-order response when mass ``c * eps`` is removed
-    from a shrinking window at ``x0`` (and deposited at the inlet, which the
-    state does not see).
+    Solves the same bilinear form as ``T`` was solved with, on its kernel and
+    measure, with homogeneous Dirichlet data at x = 0 and a point load of
+    strength ``beta(x0) * c * (T(x0) - T_inf)`` on the control volume
+    containing ``x0``; this is the first-order response when mass ``c * eps``
+    is removed from a shrinking window at ``x0`` (and deposited at the inlet,
+    which the state does not see).
     """
+    system, b = T.system, T.measure
+    grid = system.grid
     if not (0.0 < x0 < grid.length):
         raise ConfigError(f"swap point x0={x0} must be strictly inside (0, L)")
     if not (c > 0.0):
         raise ConfigError(f"swap amplitude c must be positive, got {c}")
-    system = FinSystem(a, params, grid)
     m = system.reaction_weights(b.density, b.atoms)
-    theta_x0 = T.theta_at(x0, grid, params)
-    strength = float(params.beta(x0)) * c * theta_x0
+    theta_x0 = T.theta_at(x0)
+    strength = float(system.params.beta(x0)) * c * theta_x0
     rhs = np.zeros(grid.n_cells)
     for node, wgt in atom_node_weights(x0, grid):
         if node >= 1:

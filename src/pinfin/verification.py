@@ -23,7 +23,7 @@ from .functionals import (directional_derivative, flux_gradient_density,
                           flux_report, generalized_supremum, heat_flux_relaxed,
                           surface, surface_supremum, volume)
 from .grid import Grid
-from .optimizer import OptimConfig, optimize, sweep_M, verify_bang_structure
+from .optimizer import optimize, sweep_M, verify_bang_structure
 from .physics import PhysicalParams
 from .profiles import (RadiusProfile, SurfaceMeasure, admissible_radius_bound)
 from .randoms import random_pair
@@ -68,13 +68,6 @@ def default_config() -> ExperimentConfig:
     )
 
 
-def _optim_config(cfg: ExperimentConfig, M: float | None,
-                  grid: Grid) -> OptimConfig:
-    return OptimConfig(a0=cfg.a0, S0=cfg.S0, M=M, grid=grid,
-                       params=cfg.params(), max_iters=cfg.max_iters,
-                       reconstruct=False)
-
-
 def check_closed_form(cfg: ExperimentConfig) -> Item:
     if not cfg.h_profile.is_constant:
         return _skip("closed_form_agreement", "requires constant h")
@@ -104,7 +97,7 @@ def check_flux_identity(cfg: ExperimentConfig, seed: int) -> Item:
     for _ in range(50):
         a, b = random_pair(rng, cfg.a0, grid)
         T = solve_temperature(a, b, params, grid)
-        worst = max(worst, flux_report(a, b, params, grid, T).relative_gap)
+        worst = max(worst, flux_report(T).relative_gap)
     return Item("flux_identity", worst <= 1e-10, False, worst, 1e-10,
                 "max relative boundary/integral gap over 50 random profiles")
 
@@ -141,8 +134,8 @@ def check_supremum_convergence() -> Item:
         a = RadiusProfile(oscillating_radius(grid.nodes, S0, m, a0, length),
                           a0, length)
         b = step_density(S0, m, a0, grid)
-        T = solve_temperature(a, b, params, grid)
-        gaps.append((sup - heat_flux_relaxed(a, b, params, grid, T)) / sup)
+        F = heat_flux_relaxed(solve_temperature(a, b, params, grid))
+        gaps.append((sup - F) / sup)
     ok = gaps[-1] <= 0.01 and all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
     return Item("supremum_convergence", ok, False, gaps[-1], 0.01,
                 f"relative gaps over m=8..128: {['%.2e' % g for g in gaps]}")
@@ -164,8 +157,7 @@ def check_volume_unbounded() -> Item:
                         f"profile for n={n} misses the volume budget")
         # the design's exact lateral density is the two-level step
         b = step_density(n, m, a0, grid)
-        T = solve_temperature(prof, b, params, grid)
-        F = heat_flux_relaxed(prof, b, params, grid, T)
+        F = heat_flux_relaxed(solve_temperature(prof, b, params, grid))
         ratio = F / (scale * (n - a0 * length))
         worst = min(worst, ratio)
         details.append(f"n={n}: F/linear={ratio:.4f}")
@@ -188,11 +180,10 @@ def check_gradient(cfg: ExperimentConfig, seed: int) -> Item:
             # relaxed floor: the probe evaluates the smooth functional
             # slightly outside the admissible box
             bb = SurfaceMeasure(d, 0.5 * cfg.a0, cfg.length)
-            T = solve_temperature(a, bb, params, grid)
-            return heat_flux_relaxed(a, bb, params, grid, T)
+            return heat_flux_relaxed(solve_temperature(a, bb, params, grid))
 
         T = solve_temperature(a, b, params, grid)
-        g = flux_gradient_density(b, params, grid, T) * grid.dx
+        g = flux_gradient_density(T) * grid.dx
         for i in rng.choice(grid.n_cells, size=4, replace=False):
             # nearly quadratic in each b_i: a generous step avoids the
             # roundoff floor without truncation bias
@@ -219,16 +210,15 @@ def check_swap_derivative() -> Item:
     # headroom above the floor keeps the removal window admissible
     b = SurfaceMeasure.constant(1.1 * a0, grid, floor=a0)
     x0, c, eps = 0.9 * length, 0.01 * a0, 1e-3 * length
-    ana = directional_derivative(a, b, params, grid, x0, c)
     T0 = solve_temperature(a, b, params, grid)
-    F0 = heat_flux_relaxed(a, b, params, grid, T0)
+    ana = directional_derivative(T0, x0, c)
+    F0 = heat_flux_relaxed(T0)
     x = grid.nodes
     add = np.clip(np.minimum(x[1:], eps) - np.maximum(x[:-1], 0.0), 0, None)
     rem = np.clip(np.minimum(x[1:], x0 + eps / 2) - np.maximum(x[:-1], x0 - eps / 2),
                   0, None)
     b_eps = SurfaceMeasure(b.density + c * (add - rem) / grid.dx, a0, length)
-    T_eps = solve_temperature(a, b_eps, params, grid)
-    fd = (heat_flux_relaxed(a, b_eps, params, grid, T_eps) - F0) / eps
+    fd = (heat_flux_relaxed(solve_temperature(a, b_eps, params, grid)) - F0) / eps
     err = abs(fd - ana) / abs(ana)
     return Item("swap_derivative", err <= 1e-3, False, err, 1e-3,
                 f"swap quotient {fd:.6e} vs closed form {ana:.6e} at eps=1e-3 L")
@@ -242,7 +232,7 @@ def check_bang_structure(cfg: ExperimentConfig) -> Item:
     grid = cfg.grid(500)
     worst_gap, worst_cells, worst_between = 0.0, 0.0, 0
     for M in cfg.M_list:
-        oc = _optim_config(cfg, M, grid)
+        oc = cfg.optim_config(M, grid, reconstruct=False)
         rep = verify_bang_structure(optimize(oc), oc)
         worst_gap = max(worst_gap, rep.objective_relative_gap)
         worst_cells = max(worst_cells, rep.switch_error_cells)
@@ -262,7 +252,8 @@ def check_sweep_monotone(cfg: ExperimentConfig) -> Item:
     grid = cfg.grid(2000)
     big_M = cfg.a0 + (cfg.S0 - cfg.a0 * cfg.length) / (2 * grid.dx)
     caps = list(cfg.M_list) + [big_M]
-    objs = [r.objective for r in sweep_M(_optim_config(cfg, caps[0], grid), caps)]
+    oc = cfg.optim_config(caps[0], grid, reconstruct=False)
+    objs = [r.objective for r in sweep_M(oc, caps)]
     sup = surface_supremum(cfg.a0, cfg.length, cfg.S0, params)
     gap = (sup - objs[-1]) / sup
     nondec = all(o2 >= o1 * (1 - 1e-12) for o1, o2 in zip(objs, objs[1:]))
@@ -293,7 +284,7 @@ def check_concentration(cfg: ExperimentConfig) -> Item:
         else:
             label, where, least = "decreasing", "in the first 5% of the fin", 0.9
             near = xm <= 0.05 * cfg.length
-        res = optimize(_optim_config(cfg, M, grid))
+        res = optimize(cfg.optim_config(M, grid, reconstruct=False))
         exc = (res.b_opt.density - cfg.a0) * grid.dx
         frac = float(exc[near].sum() / exc.sum())
         return Item("concentration_behavior", frac >= least, False, frac, least,
@@ -302,7 +293,7 @@ def check_concentration(cfg: ExperimentConfig) -> Item:
         if not cfg.drop_cap:
             return _skip("concentration_behavior",
                          "increasing h check runs with the cap dropped")
-        res = optimize(_optim_config(cfg, None, grid))
+        res = optimize(cfg.optim_config(None, grid, reconstruct=False))
         exc = res.b_opt.density - cfg.a0
         support = exc > 0.01 * exc.max()
         ratio = float(exc.max() / np.median(exc[support]))
@@ -349,8 +340,7 @@ def check_generalized_supremum(cfg: ExperimentConfig) -> Item:
         return _skip("generalized_supremum", f"hypothesis violated, skipped: {exc}")
     a = RadiusProfile.constant(cfg.a0, grid)
     b = SurfaceMeasure.constant(cfg.a0, grid)
-    T = solve_temperature(a, b, params, grid)
-    base = heat_flux_relaxed(a, b, params, grid, T)
+    base = heat_flux_relaxed(solve_temperature(a, b, params, grid))
     return Item("generalized_supremum", sup > base > 0.0, False, sup, base,
                 f"supremum {sup:.6e} exceeds the flat-design flux {base:.6e}")
 

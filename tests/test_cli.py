@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -373,16 +374,23 @@ def test_numerical_failure_maps_to_exit_code_3(tmp_path, monkeypatch):
     assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
 
 
-def test_overflowing_system_is_a_numerical_failure(tmp_path, capsys):
-    # beta = 2 h / k overflows: a solve must refuse the non-finite system
-    p = write_cfg(tmp_path, physics={"k": 1.0e-308, "h": 10.0, "h_r": "h(l)",
+@pytest.mark.parametrize("h, h_r", [
+    (10.0, "h(l)"),                                        # h_r / k
+    (10.0, 0.0),                                           # 2 h / k
+    ({"kind": "affine", "start": 20.0, "end": 10.0}, 0.0),  # 2 h(x) / k
+], ids=["constant_h", "constant_h_insulated_tip", "affine_h"])
+def test_overflowing_coefficients_are_a_config_error(tmp_path, capsys, h, h_r):
+    # k so small that the reaction or tip coefficient overflows to inf
+    p = write_cfg(tmp_path, physics={"k": 1.0e-308, "h": h, "h_r": h_r,
                                      "T_d": 10.0, "T_inf": 0.0})
     for command in ("solve", "optimize"):
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main([command, "--config", str(p), "--out", str(tmp_path / "o")])
-        assert code == 3
-        assert "numerical failure: temperature system has non-finite entries" \
-            in capsys.readouterr().err
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error: ") and "overflows" in err
 
 
 def test_shipped_configs_parse():

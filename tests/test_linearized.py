@@ -19,22 +19,22 @@ def setup():
 
 def test_dirichlet_node_is_exactly_zero(setup):
     params, grid, a, b, T = setup
-    lin = solve_linearized(a, b, params, grid, T, 0.4 * LENGTH, A0 / 10)
+    lin = solve_linearized(T, 0.4 * LENGTH, A0 / 10)
     assert lin.values[0] == 0.0
 
 
 def test_response_scales_linearly_with_amplitude(setup):
     # c -> 0 limit: the solution is proportional to c, so it vanishes with c
     params, grid, a, b, T = setup
-    big = solve_linearized(a, b, params, grid, T, 0.4 * LENGTH, A0 / 10)
-    small = solve_linearized(a, b, params, grid, T, 0.4 * LENGTH, A0 / 1e6)
+    big = solve_linearized(T, 0.4 * LENGTH, A0 / 10)
+    small = solve_linearized(T, 0.4 * LENGTH, A0 / 1e6)
     assert np.allclose(small.values * 1e5, big.values, rtol=1e-12)
     assert np.max(np.abs(small.values)) < 1e-4 * np.max(np.abs(big.values))
 
 
 def test_removing_lateral_surface_warms_downstream(setup):
     params, grid, a, b, T = setup
-    lin = solve_linearized(a, b, params, grid, T, 0.4 * LENGTH, A0 / 10)
+    lin = solve_linearized(T, 0.4 * LENGTH, A0 / 10)
     assert np.all(lin.values[1:] > 0.0)
 
 
@@ -43,10 +43,10 @@ def test_discrete_flux_drop_matches_source_strength(setup):
     # up to that volume's own reaction integral (O(dx))
     params, grid, a, b, T = setup
     x0 = 0.4 * LENGTH
-    lin = solve_linearized(a, b, params, grid, T, x0, A0 / 10)
+    lin = solve_linearized(T, x0, A0 / 10)
     assert lin.flux_jump < 0.0
     assert lin.flux_jump == pytest.approx(-lin.source_strength, rel=5e-3)
-    theta_x0 = T.at(x0, grid) - params.T_inf
+    theta_x0 = T.at(x0) - params.T_inf
     expected = float(params.beta(x0)) * (A0 / 10) * theta_x0
     assert lin.source_strength == pytest.approx(expected, rel=1e-12)
 
@@ -57,7 +57,7 @@ def test_consistency_with_swap_finite_difference(setup):
     # contribution vanishes since the load lands on the Dirichlet volume
     params, grid, a, b, T = setup
     x0, c = 0.4 * LENGTH, A0 / 10
-    lin = solve_linearized(a, b, params, grid, T, x0, c)
+    lin = solve_linearized(T, x0, c)
     x = grid.nodes
     errs = []
     for eps_rel in (1e-2, 1e-3):
@@ -83,17 +83,17 @@ def test_assembly_identity_with_swap_derivative(setup):
     params, grid, a, b, T = setup
     # on a node the identity is exact in the discrete system (no snapping)
     x0, c = grid.nodes[1638], A0 / 10
-    lin = solve_linearized(a, b, params, grid, T, x0, c)
+    lin = solve_linearized(T, x0, c)
     beta_mid = params.beta(grid.midpoints)
     w = beta_mid * b.density * grid.dx / 2.0
     pairing = float(np.sum(w * (lin.values[:-1] + lin.values[1:])))
-    theta_x0 = T.at(x0, grid) - params.T_inf
+    theta_x0 = T.at(x0) - params.T_inf
     assembly = params.k * np.pi * (
         pairing
         + c * float(params.beta(0.0)) * params.delta_T
         - c * float(params.beta(x0)) * theta_x0
         + params.beta_r * a.values[-1] ** 2 * lin.values[-1])
-    direct = directional_derivative(a, b, params, grid, x0, c)
+    direct = directional_derivative(T, x0, c)
     # exact up to the conditioning of the two tridiagonal solves
     assert assembly == pytest.approx(direct, rel=1e-8)
 
@@ -102,6 +102,6 @@ def test_rejects_boundary_swap_points(setup):
     params, grid, a, b, T = setup
     for x0 in (0.0, LENGTH):
         with pytest.raises(ConfigError):
-            solve_linearized(a, b, params, grid, T, x0, A0 / 10)
+            solve_linearized(T, x0, A0 / 10)
     with pytest.raises(ConfigError):
-        solve_linearized(a, b, params, grid, T, 0.4 * LENGTH, 0.0)
+        solve_linearized(T, 0.4 * LENGTH, 0.0)

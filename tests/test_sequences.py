@@ -169,7 +169,7 @@ def test_volume_constrained_profile_small_case():
     assert surface(prof, grid) == pytest.approx(n, rel=5e-3)
     b = SurfaceMeasure.from_radius(prof, grid)
     T = solve_temperature(prof, b, params, grid)
-    F = heat_flux_relaxed(prof, b, params, grid, T)
+    F = heat_flux_relaxed(T)
     scale = params.k * np.pi * params.constant_beta() * params.delta_T
     assert F >= scale * (n - a0 * ell) * 0.98
 

@@ -104,8 +104,8 @@ def test_solution_scales_exactly_with_the_temperature_gap():
     b = SurfaceMeasure.constant(A0, grid)
     big = PhysicalParams(k=10.0, h=10.0, h_r=10.0, T_d=10.0, T_inf=0.0)
     tiny = PhysicalParams(k=10.0, h=10.0, h_r=10.0, T_d=1.0 + 1e-9, T_inf=1.0)
-    theta_big = solve_temperature(a, b, big, grid).theta(big)
-    theta_tiny = solve_temperature(a, b, tiny, grid).theta(tiny)
+    theta_big = solve_temperature(a, b, big, grid).excess
+    theta_tiny = solve_temperature(a, b, tiny, grid).excess
     assert np.allclose(theta_tiny / tiny.delta_T, theta_big / big.delta_T,
                        rtol=1e-12, atol=0)
 
