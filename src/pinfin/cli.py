@@ -26,7 +26,7 @@ import numpy as np
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, NumericalError
 from .functionals import flux_report, surface_supremum
-from .io import format_float, write_json, write_table
+from .io import format_column, write_json, write_table
 from .optimizer import (OptimConfig, OptimResult, iter_sweep_M, optimize,
                         verify_bang_structure)
 from .profiles import SurfaceMeasure, check_surface_bound
@@ -75,10 +75,10 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
     T = solve_temperature(a, b, params, grid)
     rep = flux_report(T)
     fmt = cfg.out_format
-    write_table(out / "temperature.csv", ["x_m", "T_C"],
-                [grid.nodes, T.values], fmt=fmt)
+    x = format_column(grid.nodes)
+    write_table(out / "temperature.csv", ["x_m", "T_C"], [x, T.values], fmt=fmt)
     write_table(out / "profile.csv", ["x_m", "a_m", "b_m"],
-                [grid.nodes, a.values, b.density],
+                [x, a.values, b.density],
                 comment="b_m is the cell density on [x_i, x_{i+1}); "
                         "last row padded with nan", fmt=fmt)
     write_json(out / "flux_report.json", {
@@ -90,16 +90,17 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _write_optim(cfg: ExperimentConfig, oc: OptimConfig, res: OptimResult,
-                 out: Path, suffix: str = "") -> dict:
+                 out: Path, x: list[str], x_mid: list[str],
+                 suffix: str = "") -> dict:
     grid = oc.grid
     fmt = cfg.out_format
     write_table(out / f"b_opt{suffix}.csv", ["x_mid_m", "b_m"],
-                [grid.midpoints, res.b_opt.density], fmt=fmt)
+                [x_mid, res.b_opt.density], fmt=fmt)
     if res.a_opt is not None:
         write_table(out / f"a_opt{suffix}.csv", ["x_m", "a_m"],
-                    [grid.nodes, res.a_opt.values], fmt=fmt)
+                    [x, res.a_opt.values], fmt=fmt)
     write_table(out / f"T_opt{suffix}.csv", ["x_m", "T_C"],
-                [grid.nodes, res.temperature], fmt=fmt)
+                [x, res.temperature], fmt=fmt)
     write_table(out / f"objective_trace{suffix}.csv", ["iteration", "objective_W"],
                 [np.arange(res.trace.size, dtype=float), res.trace], fmt=fmt)
     report = {
@@ -140,21 +141,28 @@ def cmd_optimize(cfg: ExperimentConfig, out: Path) -> int:
         raise ConfigError("constraint: need M_mm / M_list_mm, or drop_cap: true")
     oc = cfg.optim_config(M, grid, reconstruct=True)
     res = optimize(oc)
-    _write_optim(cfg, oc, res, out)
+    _write_optim(cfg, oc, res, out, format_column(grid.nodes),
+                 format_column(grid.midpoints))
     return 0
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     if not cfg.M_list:
         raise ConfigError("constraint.M_list_mm is required for sweep")
-    base = cfg.optim_config(None, cfg.grid(), reconstruct=True)
     caps = sorted(cfg.M_list)
+    tags = ["_M%gmm" % (M * 1e3) for M in caps]
+    # the tag rounds monotonically, so caps that share one are neighbours
+    for M1, M2, t1, t2 in zip(caps, caps[1:], tags, tags[1:]):
+        if t1 == t2:
+            raise ConfigError(f"caps {M1 * 1e3:.15g} and {M2 * 1e3:.15g} mm would both "
+                              f"write files tagged {t1}; make them differ")
+    base = cfg.optim_config(None, cfg.grid(), reconstruct=True)
+    x, x_mid = format_column(base.grid.nodes), format_column(base.grid.midpoints)
     summaries = []
     prev = -np.inf
-    for M, res in zip(caps + [None],
-                      iter_sweep_M(base, caps, include_uncapped=cfg.drop_cap)):
-        tag = "_uncapped" if M is None else "_M%gmm" % (M * 1e3)
-        rep = _write_optim(cfg, replace(base, M=M), res, out, suffix=tag)
+    for M, tag, res in zip(caps + [None], tags + ["_uncapped"],
+                           iter_sweep_M(base, caps, include_uncapped=cfg.drop_cap)):
+        rep = _write_optim(cfg, replace(base, M=M), res, out, x, x_mid, suffix=tag)
         rep["nondecreasing_vs_previous"] = bool(res.objective >= prev - 1e-12)
         prev = res.objective
         summaries.append(rep)
@@ -180,10 +188,9 @@ def cmd_sequence(cfg: ExperimentConfig, out: Path) -> int:
     if M is not None:
         S0 = cfg.surface_budget()
         b = bang_density(M, S0, cfg.a0, grid)
+        xM = format_column([switch_point(M, S0, cfg.a0, grid.length)])[0]
         write_table(out / "bang_density.csv", ["x_mid_m", "b_m"],
-                    [grid.midpoints, b.density],
-                    comment=f"switch at x={format_float(switch_point(M, S0, cfg.a0, grid.length))} m",
-                    fmt=fmt)
+                    [grid.midpoints, b.density], comment=f"switch at x={xM} m", fmt=fmt)
         return 0
     raise ConfigError("sequence: need profile.kind=oscillating or a cap M")
 

@@ -20,7 +20,6 @@ builds those designs explicitly:
   volume budget while their flux grows without bound.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,24 +197,24 @@ def bang_density(M: float, S0: float, a0: float, grid: Grid) -> SurfaceMeasure:
     return SurfaceMeasure(dens, a0, L)
 
 
-def _arc_branch(dens: list[float], widths: list[float],
-                a_start: float) -> list[float]:
+def _arc_branches(dens: np.ndarray, widths: np.ndarray,
+                  a_start: float) -> np.ndarray:
     """Radius at the ends of consecutive constant-density pieces.
 
-    On a piece of density b the slope identity a sqrt(1 + a'^2) = b makes
-    u = sqrt(b^2 - a^2) fall at unit rate, so the radius is a circular arc
-    until it saturates at a = b.  The arc is carried in w = b - u, since
-    a^2 = w (2b - w) then needs no difference of nearly equal numbers when
-    b >> a.  Entering a piece whose density lies below the radius clamps the
-    radius to that density.
+    Row j of ``dens`` and ``widths`` is piece j of every lane (column); row j
+    of the result is the radius where piece j starts.  On a piece of density
+    b the slope identity a sqrt(1 + a'^2) = b makes u = sqrt(b^2 - a^2) fall
+    at unit rate, so the radius is a circular arc until it saturates at
+    a = b.  The arc is carried in w = b - u, since a^2 = w (2b - w) then needs
+    no difference of nearly equal numbers when b >> a.  Entering a piece
+    whose density lies below the radius clamps the radius to that density.
     """
-    out = [a_start]
-    a = a_start
-    for b, h in zip(dens, widths):
-        a = min(a, b)
-        w = min(a * a / (b + math.sqrt((b - a) * (b + a))) + h, b)
-        a = math.sqrt(w * (2.0 * b - w))
-        out.append(a)
+    out = np.empty((dens.shape[0] + 1, dens.shape[1]))
+    a = out[0] = a_start
+    for j, (b, h) in enumerate(zip(dens, widths)):
+        a = np.minimum(a, b)
+        w = np.minimum(a * a / (b + np.sqrt((b - a) * (b + a))) + h, b)
+        a = out[j + 1] = np.sqrt(w * (2.0 * b - w))
     return out
 
 
@@ -227,12 +226,12 @@ def reconstruct_radius(b: SurfaceMeasure, specs: list[OscillationSpec],
     the density is constant on every piece.  A rising branch leaves the left
     edge at ``a_boundary`` and a falling branch the right edge, each moving
     one piece at a time along the exact circular arc of that piece's
-    density, so the nodes are evaluated exactly with no integrator.  Within
-    a piece the gap between the branches increases, so the first node where
-    the rising branch reaches the falling one follows the first crossing;
-    the two graphs are spliced there.  (Branches that never meet, possible
-    only for a density within roundoff below the baseline, keep the falling
-    one.)
+    density, so the nodes are evaluated exactly with no integrator; every
+    branch of a spec advances in the same array step.  Within a piece the gap
+    between the branches increases, so the first node where the rising
+    branch reaches the falling one follows the first crossing; the two graphs
+    are spliced there.  (Branches that never meet, possible only for a
+    density within roundoff below the baseline, keep the falling one.)
     Outside the spec intervals the radius is the flat baseline, so the
     identity a sqrt(1+a'^2) = b holds there only where b equals the
     baseline.
@@ -258,19 +257,31 @@ def reconstruct_radius(b: SurfaceMeasure, specs: list[OscillationSpec],
                 f"density drops below the baseline {a_boundary} on "
                 f"[{spec.x_start}, {spec.x_end}]; no admissible radius matches it"
             )
+        # lane (column) k is oscillation k: nodes within tol of its edges keep
+        # the baseline, the others cut it into n_pieces[k] pieces
         edges = np.linspace(spec.x_start, spec.x_end, spec.n_oscillations + 1)
-        for e0, e1 in zip(edges[:-1], edges[1:]):
-            # nodes within tol of an edge keep the baseline
-            i0 = int(np.searchsorted(nodes, e0 + tol, "right"))
-            i1 = int(np.searchsorted(nodes, e1 - tol, "left"))
-            ends = np.concatenate(([e0], nodes[i0:i1], [e1]))
-            cell = np.clip((0.5 * (ends[:-1] + ends[1:]) / grid.dx).astype(int),
-                           0, grid.n_cells - 1)
-            piece, widths = dens[cell].tolist(), np.diff(ends).tolist()
-            up = np.array(_arc_branch(piece, widths, a_boundary))
-            dn = np.array(_arc_branch(piece[::-1], widths[::-1], a_boundary)[::-1])
-            ix = int(np.argmax(up >= dn))       # first node past the crossing
-            values[i0:i1] = np.concatenate((up[:ix], dn[ix:]))[1:-1]
+        i0 = np.searchsorted(nodes, edges[:-1] + tol, "right")
+        n_pieces = np.maximum(np.searchsorted(nodes, edges[1:] - tol, "left") - i0, 0) + 1
+        j = np.arange(n_pieces.max() + 1)[:, None]     # row j: end node j
+        ends = np.where(j == 0, edges[:-1],
+                        nodes[np.clip(i0 + j - 1, 0, nodes.size - 1)])
+        ends = np.where(j == n_pieces, edges[1:], ends)
+        cell = np.clip((0.5 * (ends[:-1] + ends[1:]) / grid.dx).astype(int),
+                       0, grid.n_cells - 1)
+        # pieces past a lane's last (density 1, width 0) keep it finite
+        real = j[:-1] < n_pieces
+        piece = np.where(real, dens[cell], 1.0)
+        width = np.where(real, np.diff(ends, axis=0), 0.0)
+        # rising lanes walk the pieces from the left, falling ones from the right
+        back = np.where(real, n_pieces - 1 - j[:-1], j[:-1])
+        up, dn = np.hsplit(_arc_branches(
+            np.hstack((piece, np.take_along_axis(piece, back, 0))),
+            np.hstack((width, np.take_along_axis(width, back, 0))), a_boundary), 2)
+        at = j <= n_pieces
+        dn = np.take_along_axis(dn, np.where(at, n_pieces - j, j), 0)
+        ix = np.argmax((up >= dn) & at, axis=0)   # first node past the crossing
+        inner = (j > 0) & (j < n_pieces)
+        values[(i0 + j - 1)[inner]] = np.where(j < ix, up, dn)[inner]
     return RadiusProfile(np.maximum(values, a_boundary), b.floor, grid.length)
 
 
@@ -278,20 +289,11 @@ def radius_from_density(b: SurfaceMeasure, grid: Grid) -> RadiusProfile:
     """Reconstruct a radius for a density via oscillations on its loaded runs."""
     a0 = b.floor
     excess = b.density > a0 * (1.0 + 1e-9)
-    specs = []
-    i = 0
-    n = grid.n_cells
-    while i < n:
-        if excess[i]:
-            j = i
-            while j + 1 < n and excess[j + 1]:
-                j += 1
-            run_cells = j - i + 1
-            n_osc = max(1, run_cells // CELLS_PER_OSCILLATION)
-            specs.append(OscillationSpec(i * grid.dx, (j + 1) * grid.dx, n_osc))
-            i = j + 1
-        else:
-            i += 1
+    # first cell and one past the last of each run of loaded cells
+    bounds = np.flatnonzero(np.diff(excess, prepend=False, append=False)).tolist()
+    specs = [OscillationSpec(i * grid.dx, j * grid.dx,
+                             max(1, (j - i) // CELLS_PER_OSCILLATION))
+             for i, j in zip(bounds[::2], bounds[1::2])]
     if not specs:
         return RadiusProfile.constant(a0, grid)
     return reconstruct_radius(b, specs, a0, grid)

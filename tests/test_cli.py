@@ -10,7 +10,7 @@ from pinfin import Grid
 from pinfin.cli import main
 from pinfin.config import load_config
 from pinfin.errors import ConfigError
-from pinfin.io import read_table, write_table
+from pinfin.io import format_column, read_table, write_table
 from pinfin.verification import check_concentration
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -146,6 +146,28 @@ def test_write_table_bytes(tmp_path):
     assert np.array_equal(read_table(path)["x"], [0.1, -0.0, np.inf, 1.0 / 3.0])
 
 
+def test_write_table_takes_preformatted_columns(tmp_path):
+    # a column formatted once by format_column prints the same bytes as the
+    # floats it came from, in csv and json, padded with nan when short
+    x = np.array([0.1, -0.0, np.inf, 1.0 / 3.0])
+    y = np.array([2.5, -6.02214076e23, 7.0, np.nextafter(1.0, 2.0), -np.inf])
+    assert format_column(x) == ["0.10000000000000001", "-0", "inf",
+                                "0.33333333333333331"]
+    for fmt in ("csv", "json"):     # json writes text.json and floats.json
+        write_table(tmp_path / "text.csv", ["x", "y"], [format_column(x), y],
+                    comment="c", fmt=fmt)
+        write_table(tmp_path / "floats.csv", ["x", "y"], [x, y], comment="c", fmt=fmt)
+        assert ((tmp_path / f"text.{fmt}").read_bytes()
+                == (tmp_path / f"floats.{fmt}").read_bytes())
+    assert (tmp_path / "text.csv").read_bytes() == (
+        b"# c\nx,y\n0.10000000000000001,2.5\n-0,-6.0221407599999999e+23\n"
+        b"inf,7\n0.33333333333333331,1.0000000000000002\nnan,-inf\n")
+    payload = json.loads((tmp_path / "text.json").read_text())
+    assert np.array_equal(payload["x"], x)
+    assert np.signbit(payload["x"][1])
+    assert np.array_equal(payload["y"], y)
+
+
 def test_read_table_rejects_a_nan_inside_a_column(tmp_path):
     # dropping it would shift the later rows of that column out of line
     path = tmp_path / "t.csv"
@@ -163,12 +185,24 @@ def test_read_table_rejects_a_row_of_nan(tmp_path):
 
 
 def test_outputs_are_deterministic(tmp_path):
-    p = write_cfg(tmp_path)
+    p = write_cfg(tmp_path, constraint={
+        "kind": "surface", "S0_times_a0_length": 6.0,
+        "M_list_mm": [12.5, 50.0], "drop_cap": True})
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    main(["solve", "--config", str(p), "--out", str(out1)])
-    main(["solve", "--config", str(p), "--out", str(out2)])
-    for name in ("temperature.csv", "profile.csv", "flux_report.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    for out in (out1, out2):
+        for command in ("solve", "optimize", "sweep"):
+            assert main([command, "--config", str(p), "--out", str(out)]) == 0
+    names = sorted(f.name for f in out1.iterdir())
+    for stem in ("a_opt", "b_opt", "T_opt", "objective_trace"):
+        assert {f"{stem}{tag}.csv" for tag in ("", "_M12.5mm", "_M50mm",
+                                               "_uncapped")} <= set(names)
+    for tag in ("", "_M12.5mm", "_M50mm", "_uncapped"):
+        assert f"structure_report{tag}.json" in names
+    assert {"temperature.csv", "profile.csv", "flux_report.json",
+            "sweep_summary.json"} <= set(names)
+    assert names == sorted(f.name for f in out2.iterdir())
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_solve_zero_gap_config(tmp_path):
@@ -228,6 +262,20 @@ def test_optimize_and_sweep_outputs(tmp_path):
     assert len(summary["runs"]) == 2
     assert all(r["nondecreasing_vs_previous"] for r in summary["runs"])
     assert "surface_supremum_W" in summary
+
+
+def test_sweep_rejects_caps_whose_files_share_a_name(tmp_path, capsys):
+    # "_M%gmm" keeps 6 significant digits: the first cap's files would be
+    # overwritten by the second's, so the sweep stops before optimizing
+    p = write_cfg(tmp_path, constraint={
+        "kind": "surface", "S0_times_a0_length": 6.0,
+        "M_list_mm": [12.5, 6.25, 6.2500001]})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: caps 6.25") and "6.2500001" in err
+    assert "_M6.25mm" in err
+    assert list(out.iterdir()) == []
 
 
 def test_optimize_rejects_infeasible_cap(tmp_path):
