@@ -19,7 +19,7 @@ HCoefficient = Union[float, Callable[[np.ndarray], np.ndarray]]
 H_FLOOR = 1e-12        # lower bound enforced on h(x); keeps the reaction coercive
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhysicalParams:
     """Conductivity, convection and boundary temperatures.
 
@@ -70,24 +70,16 @@ class PhysicalParams:
     def beta_r(self) -> float:
         return self.h_r / self.k
 
-    def h_at(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.is_constant_h:
-            vals = np.full(x.shape, float(self.h))
-        else:
-            vals = np.asarray(self.h(x), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ConfigError("h(x) produced non-finite values")
-        if np.any(vals < H_FLOOR):
-            raise ConfigError(
-                f"h(x) drops below the floor {H_FLOOR}; "
-                "the lateral surface may not be insulated"
-            )
-        return vals
-
     def beta(self, x) -> np.ndarray:
         """Lateral reaction coefficient 2 h(x) / k, in 1/m."""
-        h = self.h_at(x)
+        if self.is_constant_h:      # h and 2 h / k were checked in __post_init__
+            return np.full(np.shape(x), self.constant_beta())
+        h = np.asarray(self.h(np.asarray(x, dtype=float)), dtype=float)
+        if not np.all(np.isfinite(h)):
+            raise ConfigError("h(x) produced non-finite values")
+        if np.any(h < H_FLOOR):
+            raise ConfigError(f"h(x) drops below the floor {H_FLOOR}; "
+                              "the lateral surface may not be insulated")
         with np.errstate(over="ignore"):
             vals = 2.0 * h / self.k
         if not np.all(np.isfinite(vals)):

@@ -1,5 +1,7 @@
 """Randomized admissible radius profiles for verification runs."""
 
+from functools import lru_cache
+
 import numpy as np
 
 from .grid import Grid
@@ -9,18 +11,26 @@ MAX_BUMP = 2.0         # values stay within a0 * (1 + MAX_BUMP)
 N_MODES = 6            # low Fourier modes summed into the bump
 
 
+@lru_cache(maxsize=4)
+def fourier_basis(grid: Grid) -> np.ndarray:
+    arg = np.pi * np.arange(1, N_MODES + 1)[:, None] * (grid.nodes / grid.length)
+    basis = np.vstack((np.sin(arg), np.cos(arg)))
+    basis.setflags(write=False)
+    return basis
+
+
 def random_radius(rng: np.random.Generator, a0: float, grid: Grid) -> RadiusProfile:
     """Smooth random profile >= a0 built from a few low Fourier modes.
 
-    ``MAX_BUMP`` bounds the relative excursion, keeping slopes moderate on
-    any grid.
+    The bump ``sum amp_j (1 + sin(pi j x + phase_j))`` is formed by angle
+    addition from the cached rows ``sin(pi j x)`` and ``cos(pi j x)``.
+    ``MAX_BUMP`` bounds the relative excursion: slopes stay moderate on any grid.
     """
-    x = grid.nodes / grid.length
-    bump = np.zeros_like(x)
-    for j in range(1, N_MODES + 1):
-        amp = rng.uniform(0.0, 1.0) / j
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        bump += amp * (1.0 + np.sin(np.pi * j * x + phase))
+    u = rng.random(2 * N_MODES)     # amplitude, phase, amplitude, ... per mode
+    amp = u[0::2] / np.arange(1, N_MODES + 1)
+    phase = 2.0 * np.pi * u[1::2]
+    coef = np.concatenate((amp * np.cos(phase), amp * np.sin(phase)))
+    bump = amp.sum() + coef @ fourier_basis(grid)
     top = np.max(bump)
     if top > 0.0:
         bump *= rng.uniform(0.2, 1.0) * MAX_BUMP / top

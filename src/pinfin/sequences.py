@@ -301,15 +301,15 @@ def radius_from_density(b: SurfaceMeasure, grid: Grid) -> RadiusProfile:
 
 def volume_constrained_design(
         surface_target: float, V0: float, a0: float, grid: Grid,
-        params: PhysicalParams | None = None) -> tuple[RadiusProfile, int]:
-    """Oscillating profile (and its oscillation count) inside a volume budget.
+        params: PhysicalParams | None = None) -> tuple[RadiusProfile, int, float | None]:
+    """Oscillating design inside a volume budget: profile, oscillations, flux.
 
     Returns the design with the smallest oscillation count m such that its
     exact volume is at most ``V0 - 1/n`` (n = surface_target) and, when
     ``params`` is given, its flux is within ``k pi beta dT / n`` of the
     concentration limit.  Found by doubling then bisecting; both conditions
     are monotone in m.  The profile's exact lateral density is
-    ``step_density(n, m, a0, grid)``.
+    ``step_density(n, m, a0, grid)``; the flux (None without ``params``) used it.
     """
     L = grid.length
     n = surface_target
@@ -330,15 +330,16 @@ def volume_constrained_design(
         scale = params.k * np.pi * beta * params.delta_T
         flux_floor = scale * (a0 ** 1.5 * gamma / np.sqrt(beta) + (n - a0 * L) - 1.0 / n)
 
-    def flux_of(m):
-        prof = RadiusProfile(oscillating_radius(grid.nodes, n, m, a0, L), a0, L)
-        return heat_flux_relaxed(
-            solve_temperature(prof, step_density(n, m, a0, grid), params, grid))
+    fluxes = {}
 
     def feasible(m):
         if oscillating_profile_volume(n, m, a0, L) > vol_budget:
             return False
-        return params is None or flux_of(m) >= flux_floor
+        if params is not None:
+            prof = RadiusProfile(oscillating_radius(grid.nodes, n, m, a0, L), a0, L)
+            fluxes[m] = heat_flux_relaxed(
+                solve_temperature(prof, step_density(n, m, a0, grid), params, grid))
+        return params is None or fluxes[m] >= flux_floor
 
     m = max(int(np.floor(1.0 / L)) + 1, 2)
     m_lo = m
@@ -355,4 +356,4 @@ def volume_constrained_design(
             hi = mid
         else:
             lo = mid
-    return oscillating_profile(n, hi, a0, grid), hi
+    return oscillating_profile(n, hi, a0, grid), hi, fluxes.get(hi)

@@ -174,6 +174,17 @@ def test_volume_constrained_profile_small_case():
     assert F >= scale * (n - a0 * ell) * 0.98
 
 
+def test_volume_constrained_design_returns_the_flux_of_its_design():
+    a0, ell = 1.2, 0.2
+    params = PhysicalParams(k=10.0, h=0.25, h_r=0.0, T_d=10.0, T_inf=0.0)
+    grid = Grid(ell, 8192)
+    n, V0 = 5, 2 * a0 * a0 * ell
+    prof, m, F = volume_constrained_design(n, V0, a0, grid, params)
+    b = step_density(n, m, a0, grid)
+    assert F == heat_flux_relaxed(solve_temperature(prof, b, params, grid))
+    assert volume_constrained_design(n, V0, a0, grid)[2] is None
+
+
 def test_volume_constrained_profile_rejects_bad_budgets():
     grid = Grid(0.2, 1024)
     params = PhysicalParams(k=10.0, h=0.25, h_r=0.0, T_d=10.0, T_inf=0.0)

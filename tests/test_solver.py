@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -140,6 +141,23 @@ def test_input_validation(demo_params):
     with pytest.raises(ConfigError):
         solve_temperature(a, SurfaceMeasure.constant(A0, Grid(LENGTH, 65)),
                           demo_params, grid)
+
+
+@pytest.mark.parametrize("x", [0.03, np.array(0.03), np.linspace(0.0, LENGTH, 7)])
+def test_constant_h_beta_is_the_array_expression_bitwise(x):
+    params = PhysicalParams(k=0.7, h=10.0 / 3.0, h_r=1.0, T_d=10.0, T_inf=0.0)
+    beta = params.beta(x)
+    expected = 2.0 * np.full(np.shape(x), float(params.h)) / params.k
+    assert np.shape(beta) == np.shape(x)
+    assert np.asarray(beta).dtype == np.float64
+    assert np.asarray(beta).tobytes() == np.asarray(expected).tobytes()
+
+
+def test_physical_params_are_frozen(demo_params):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        demo_params.h = 1e-300
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        demo_params.k = 1.0
 
 
 def test_variable_h_profile_solves(demo_params):
