@@ -20,7 +20,7 @@ from .optimizer import (BangStructureReport, OptimConfig, OptimResult,
 from .physics import PhysicalParams
 from .profiles import (FluxReport, LinearizedField, RadiusProfile,
                        SurfaceMeasure, admissible_radius_bound,
-                       check_surface_bound)
+                       enforce_surface_bound)
 from .sequences import (OscillationSpec, bang_density, oscillating_profile,
                         oscillating_profile_volume, oscillating_radius,
                         oscillation_peak, reconstruct_radius, step_density,
@@ -33,8 +33,8 @@ __all__ = [
     "LinearizedField", "NumericalError", "OptimConfig", "OptimResult",
     "OscillationSpec", "PhysicalParams", "RadiusProfile", "SurfaceMeasure",
     "TemperatureField", "admissible_radius_bound", "bang_density",
-    "check_surface_bound", "closed_form_temperature", "compute_gamma",
-    "directional_derivative", "flux_gradient_density", "flux_report",
+    "closed_form_temperature", "compute_gamma", "directional_derivative",
+    "enforce_surface_bound", "flux_gradient_density", "flux_report",
     "generalized_supremum", "heat_flux_boundary", "heat_flux_relaxed",
     "optimize", "oscillating_profile", "oscillating_profile_volume",
     "oscillating_radius", "oscillation_peak", "project_box_budget",

@@ -29,7 +29,7 @@ from .functionals import flux_report, surface_supremum
 from .io import format_column, write_json, write_table
 from .optimizer import (OptimConfig, OptimResult, iter_sweep_M, optimize,
                         verify_bang_structure)
-from .profiles import SurfaceMeasure, check_surface_bound
+from .profiles import SurfaceMeasure, enforce_surface_bound
 from .sequences import bang_density, switch_point
 from .solver import solve_temperature
 from .verification import default_config, run_verification
@@ -71,7 +71,7 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
         a = cfg.radius_profile(grid)
         b = SurfaceMeasure.from_radius(a, grid)
     if cfg.S0 is not None:
-        check_surface_bound(a, cfg.S0)
+        enforce_surface_bound(a, cfg.S0)
     T = solve_temperature(a, b, params, grid)
     rep = flux_report(T)
     fmt = cfg.out_format

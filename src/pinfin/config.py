@@ -6,6 +6,7 @@ quoted) and converted to SI on ingestion.  Everything downstream of this
 module is strict SI.
 """
 
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,13 +17,12 @@ import yaml
 from .errors import ConfigError
 from .grid import Grid
 from .optimizer import OptimConfig
-from .physics import PhysicalParams
+from .physics import H_FLOOR, PhysicalParams
 from .profiles import RadiusProfile
 from .sequences import oscillating_profile, step_density
 
 MM = 1e-3
 MM2 = 1e-6
-MM3 = 1e-9
 
 
 class _ConfigLoader(yaml.SafeLoader):
@@ -46,18 +46,51 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _number(value, where: str) -> float:
+def _number(value, where: str, floor: float = -math.inf) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    if value < floor:
+        raise ConfigError(f"{where} must be >= {floor}, got {value!r}")
     return float(value)
 
 
+def _number_at(mapping: dict, key: str, where: str, floor: float = -math.inf) -> float:
+    return _number(_require(mapping, key, where), f"{where}.{key}", floor)
+
+
+def _numbers(values, where: str, floor: float = -math.inf) -> list[float]:
+    if not isinstance(values, list):
+        raise ConfigError(f"{where}: expected a list of numbers, got {values!r}")
+    return [_number(v, where, floor) for v in values]
+
+
 def _integer(value, where: str) -> int:
-    if isinstance(value, bool) or not (
-            isinstance(value, int)
-            or isinstance(value, float) and value.is_integer()):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
     return int(value)
+
+
+def _table(spec: dict, where: str, key: str,
+           floor: float = -math.inf) -> tuple[np.ndarray, np.ndarray]:
+    """Knots ``x_mm`` (returned in m, strictly increasing) and their ``key`` values."""
+    xs = np.array(_numbers(_require(spec, "x_mm", where), f"{where}.x_mm"))
+    vs = np.array(_numbers(_require(spec, key, where), f"{where}.{key}", floor))
+    if xs.size != vs.size or xs.size < 2:
+        raise ConfigError(f"{where}: x_mm and {key} need equal lengths of at least 2")
+    if np.any(np.diff(xs) <= 0):
+        raise ConfigError(f"{where}.x_mm must be strictly increasing")
+    return xs * MM, vs
+
+
+def _surface(spec: dict, where: str, stem: str, a0: float, length: float) -> float | None:
+    """``<stem>_mm2`` or ``<stem>_times_a0_length`` in m^2; None if neither is given."""
+    if f"{stem}_mm2" in spec:
+        return _number_at(spec, f"{stem}_mm2", where) * MM2
+    if f"{stem}_times_a0_length" in spec:
+        return _number_at(spec, f"{stem}_times_a0_length", where) * a0 * length
+    return None
 
 
 class HProfile:
@@ -68,31 +101,25 @@ class HProfile:
             spec = {"kind": "constant", "value": spec}
         if not isinstance(spec, dict):
             raise ConfigError(f"physics.h: expected number or mapping, got {spec!r}")
-        kind = _require(spec, "kind", "physics.h")
-        self.kind = kind
+        self.kind = kind = _require(spec, "kind", "physics.h")
         self.length = length
+        where = "physics.h"
+        # h(x) stays between the levels it is given, so each is held to the floor
         if kind == "constant":
-            self.value = _number(_require(spec, "value", "physics.h"), "physics.h.value")
+            self.value = _number_at(spec, "value", where, H_FLOOR)
         elif kind == "affine":
-            self.start = _number(_require(spec, "start", "physics.h"), "physics.h.start")
-            self.end = _number(_require(spec, "end", "physics.h"), "physics.h.end")
+            self.start = _number_at(spec, "start", where, H_FLOOR)
+            self.end = _number_at(spec, "end", where, H_FLOOR)
         elif kind == "step":
-            self.low = _number(_require(spec, "low", "physics.h"), "physics.h.low")
-            self.high = _number(_require(spec, "high", "physics.h"), "physics.h.high")
-            self.x_step = _number(_require(spec, "x_step_mm", "physics.h"),
-                                  "physics.h.x_step_mm") * MM
-            self.width = _number(spec.get("width_mm", 2.0), "physics.h.width_mm") * MM
-            if not (0.0 < self.x_step < length):
-                raise ConfigError("physics.h.x_step_mm must lie inside the fin")
+            self.low = _number_at(spec, "low", where, H_FLOOR)
+            self.high = _number_at(spec, "high", where, H_FLOOR)
+            self.x_step = _number_at(spec, "x_step_mm", where) * MM
+            self.width = _number_at({"width_mm": 2.0, **spec}, "width_mm", where) * MM
+            if not (0.0 < self.x_step < length and self.width > 0.0):
+                raise ConfigError("physics.h: x_step_mm must lie inside the fin "
+                                  "and width_mm be positive")
         elif kind == "table":
-            xs = _require(spec, "x_mm", "physics.h")
-            vs = _require(spec, "values", "physics.h")
-            if len(xs) != len(vs) or len(xs) < 2:
-                raise ConfigError("physics.h table needs matching x_mm/values lists")
-            self.xs = np.asarray(xs, dtype=float) * MM
-            self.vs = np.asarray(vs, dtype=float)
-            if np.any(np.diff(self.xs) <= 0):
-                raise ConfigError("physics.h table x_mm must be strictly increasing")
+            self.xs, self.vs = _table(spec, where, "values", H_FLOOR)
         else:
             raise ConfigError(f"physics.h.kind '{kind}' not one of "
                               "constant|affine|step|table")
@@ -112,9 +139,6 @@ class HProfile:
             return self.low + (self.high - self.low) * ramp
         return np.interp(x, self.xs, self.vs)
 
-    def at_tip(self) -> float:
-        return float(self(np.asarray([self.length]))[0])
-
 
 @dataclass
 class ExperimentConfig:
@@ -125,9 +149,7 @@ class ExperimentConfig:
     h_r: float
     T_d: float
     T_inf: float
-    constraint_kind: str
     S0: float | None
-    V0: float | None
     M: float | None
     M_list: list[float] = field(default_factory=list)
     drop_cap: bool = False
@@ -143,6 +165,9 @@ class ExperimentConfig:
             raise ConfigError(f"numerics.seed must be >= 0, got {self.seed}")
         if self.max_iters < 1:
             raise ConfigError(f"numerics.max_iters must be >= 1, got {self.max_iters}")
+        # build what the commands build, so a bad section fails here, before any work
+        self.params()
+        self.radius_profile(self.grid())
 
     def cap(self) -> float | None:
         """The one cap of a single run: M_mm, else the largest of M_list_mm."""
@@ -159,7 +184,7 @@ class ExperimentConfig:
                               T_d=self.T_d, T_inf=self.T_inf)
 
     def surface_budget(self) -> float:
-        if self.constraint_kind != "surface" or self.S0 is None:
+        if self.S0 is None:
             raise ConfigError("this command needs constraint.kind=surface with a budget S0")
         return self.S0
 
@@ -171,22 +196,21 @@ class ExperimentConfig:
                            reconstruct=reconstruct)
 
     def radius_profile(self, grid: Grid) -> RadiusProfile:
-        kind = self.profile_kind
-        args = self.profile_args
+        kind, args = self.profile_kind, self.profile_args
         if kind == "constant":
             return RadiusProfile.constant(self.a0, grid)
         if kind == "cone":
-            tip = _number(_require(args, "tip_mm", "profile"), "profile.tip_mm") * MM
+            tip = _number_at(args, "tip_mm", "profile") * MM
             if tip < self.a0:
                 raise ConfigError("profile.tip_mm must be at least a0")
             return RadiusProfile.cone(self.a0, grid, (tip - self.a0) / self.length)
         if kind == "oscillating":
             return self.oscillating_pair(grid)[0]
         if kind == "table":
-            xs = np.asarray(_require(args, "x_mm", "profile"), dtype=float) * MM
-            vs = np.asarray(_require(args, "a_mm", "profile"), dtype=float) * MM
-            if xs.size != vs.size or xs.size < 2:
-                raise ConfigError("profile table needs matching x_mm/a_mm lists")
+            xs, vs = _table(args, "profile", "a_mm")
+            vs = vs * MM
+            if np.any(vs < self.a0):
+                raise ConfigError("profile.a_mm must be at least a0 everywhere")
             return RadiusProfile(np.interp(grid.nodes, xs, vs), self.a0, self.length)
         raise ConfigError(f"profile.kind '{kind}' not one of constant|cone|oscillating|table")
 
@@ -198,19 +222,12 @@ class ExperimentConfig:
         differentiates the samples downstream).
         """
         args = self.profile_args
-        S = self.surface_value(args, "profile")
+        S = _surface(args, "profile", "S", self.a0, self.length)
+        if S is None:
+            raise ConfigError("profile: need S_mm2 or S_times_a0_length")
         m = _integer(_require(args, "m", "profile"), "profile.m")
-        profile = oscillating_profile(S, m, self.a0, grid,
-                                      check_resolution=False)
+        profile = oscillating_profile(S, m, self.a0, grid, check_resolution=False)
         return profile, step_density(S, m, self.a0, grid)
-
-    def surface_value(self, mapping: dict, where: str) -> float:
-        if "S_mm2" in mapping:
-            return _number(mapping["S_mm2"], f"{where}.S_mm2") * MM2
-        if "S_times_a0_length" in mapping:
-            return _number(mapping["S_times_a0_length"],
-                           f"{where}.S_times_a0_length") * self.a0 * self.length
-        raise ConfigError(f"{where}: need S_mm2 or S_times_a0_length")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -225,50 +242,34 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"{path}: top level must be a mapping")
 
     geo = _require(raw, "geometry", str(path))
-    a0 = _number(_require(geo, "a0_mm", "geometry"), "geometry.a0_mm") * MM
-    length = _number(_require(geo, "length_mm", "geometry"), "geometry.length_mm") * MM
+    a0 = _number_at(geo, "a0_mm", "geometry") * MM
+    length = _number_at(geo, "length_mm", "geometry") * MM
     if a0 <= 0 or length <= 0:
         raise ConfigError("geometry: a0_mm and length_mm must be positive")
 
     phy = _require(raw, "physics", str(path))
-    k = _number(_require(phy, "k", "physics"), "physics.k")
+    k = _number_at(phy, "k", "physics")
     h_profile = HProfile(_require(phy, "h", "physics"), length)
-    h_r_raw = phy.get("h_r", "h(l)")
-    if isinstance(h_r_raw, str):
-        if h_r_raw.replace(" ", "") not in ("h(l)", "h(L)", "h(ell)"):
-            raise ConfigError(f"physics.h_r: unknown rule '{h_r_raw}'")
-        h_r = h_profile.at_tip()
+    h_r = phy.get("h_r", "h(l)")
+    if isinstance(h_r, str):
+        if h_r.replace(" ", "") not in ("h(l)", "h(L)", "h(ell)"):
+            raise ConfigError(f"physics.h_r: unknown rule '{h_r}'")
+        h_r = float(h_profile(np.asarray([length]))[0])
     else:
-        h_r = _number(h_r_raw, "physics.h_r")
-    T_d = _number(_require(phy, "T_d", "physics"), "physics.T_d")
-    T_inf = _number(_require(phy, "T_inf", "physics"), "physics.T_inf")
+        h_r = _number(h_r, "physics.h_r")
+    T_d, T_inf = _number_at(phy, "T_d", "physics"), _number_at(phy, "T_inf", "physics")
 
     con = raw.get("constraint", {}) or {}
     kind = con.get("kind", "surface")
     if kind not in ("surface", "volume"):
         raise ConfigError(f"constraint.kind '{kind}' not one of surface|volume")
-    S0 = V0 = None
-    if kind == "surface":
-        if "S0_mm2" in con:
-            S0 = _number(con["S0_mm2"], "constraint.S0_mm2") * MM2
-        elif "S0_times_a0_length" in con:
-            S0 = _number(con["S0_times_a0_length"],
-                         "constraint.S0_times_a0_length") * a0 * length
-    else:
-        if "V0_mm3" in con:
-            V0 = _number(con["V0_mm3"], "constraint.V0_mm3") * MM3
-        elif "V0_times_a02_length" in con:
-            V0 = _number(con["V0_times_a02_length"],
-                         "constraint.V0_times_a02_length") * a0 * a0 * length
-    M = None
-    if "M_mm" in con:
-        M = _number(con["M_mm"], "constraint.M_mm") * MM
-    M_list = [_number(v, "constraint.M_list_mm") * MM
-              for v in con.get("M_list_mm", [])]
+    # no command optimizes under a volume budget, so its keys are not read
+    S0 = _surface(con, "constraint", "S0", a0, length) if kind == "surface" else None
+    M = _number_at(con, "M_mm", "constraint") * MM if "M_mm" in con else None
+    M_list = [v * MM for v in _numbers(con.get("M_list_mm", []), "constraint.M_list_mm")]
     drop_cap = con.get("drop_cap", False)
     if not isinstance(drop_cap, bool):
-        raise ConfigError(f"constraint.drop_cap: expected true or false, "
-                          f"got {drop_cap!r}")
+        raise ConfigError(f"constraint.drop_cap: expected true or false, got {drop_cap!r}")
 
     prof = raw.get("profile", {}) or {}
     profile_kind = prof.get("kind", "constant")
@@ -279,15 +280,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
     max_iters = _integer(num.get("max_iters", 20000), "numerics.max_iters")
     seed = _integer(num.get("seed", 0), "numerics.seed")
 
-    out = raw.get("output", {}) or {}
-    out_format = out.get("format", "csv")
+    out_format = (raw.get("output", {}) or {}).get("format", "csv")
     if out_format not in ("csv", "json"):
         raise ConfigError(f"output.format '{out_format}' not one of csv|json")
 
     return ExperimentConfig(
         a0=a0, length=length, k=k, h_profile=h_profile, h_r=h_r,
-        T_d=T_d, T_inf=T_inf, constraint_kind=kind, S0=S0, V0=V0, M=M,
-        M_list=M_list, drop_cap=drop_cap, profile_kind=profile_kind,
-        profile_args=profile_args, n_cells=n_cells, max_iters=max_iters,
-        seed=seed, out_format=out_format,
+        T_d=T_d, T_inf=T_inf, S0=S0, M=M, M_list=M_list, drop_cap=drop_cap,
+        profile_kind=profile_kind, profile_args=profile_args, n_cells=n_cells,
+        max_iters=max_iters, seed=seed, out_format=out_format,
     )

@@ -143,8 +143,8 @@ def admissible_radius_bound(S0: float, length: float) -> float:
     return float(np.sqrt(S0 * S0 / (length * length) + 4.0 * S0))
 
 
-def check_surface_bound(profile: RadiusProfile, S0: float,
-                        rtol: float = 1e-9) -> None:
+def enforce_surface_bound(profile: RadiusProfile, S0: float,
+                          rtol: float = 1e-9) -> None:
     """Reject profiles exceeding the a priori bound of the surface class."""
     bound = admissible_radius_bound(S0, profile.length)
     worst = float(np.max(profile.values))

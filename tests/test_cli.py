@@ -334,7 +334,7 @@ def test_missing_config_returns_config_error_code(tmp_path):
 ])
 def test_config_rejects_non_integral_and_non_boolean_values(tmp_path, section,
                                                            key, value):
-    # profile.m is read only when an oscillating profile is built
+    # every section, profile.m included, is checked when the config is built
     sections = {
         "numerics": {"n_cells": 200},
         "profile": {"kind": "oscillating", "S_times_a0_length": 3.0, "m": 8},
@@ -346,6 +346,56 @@ def test_config_rejects_non_integral_and_non_boolean_values(tmp_path, section,
     with pytest.raises(ConfigError, match=f"{section}.{key}"):
         load_config(p).radius_profile(Grid(0.1, 64))
     assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+
+
+NAN, INF = float("nan"), float("inf")
+PHYSICS = {"k": 10.0, "h": 10.0, "h_r": "h(l)", "T_d": 10.0, "T_inf": 0.0}
+CONSTRAINT = {"kind": "surface", "S0_times_a0_length": 6.0, "M_mm": 25.0,
+              "M_list_mm": [12.5, 25.0]}
+
+
+@pytest.mark.parametrize("section, spec, message", [
+    ("physics", {"k": -5.0}, "conductivity k must be positive"),
+    ("physics", {"T_d": 0.0, "T_inf": 10.0}, "T_d=0.0 must not be below T_inf"),
+    ("physics", {"h": {"kind": "affine", "start": 20.0, "end": NAN}},
+     "physics.h.end: expected a finite number, got nan"),
+    ("physics", {"h": {"kind": "affine", "start": 0.0, "end": 10.0}},
+     "physics.h.start must be >= 1e-12"),
+    ("physics", {"h": {"kind": "step", "low": 0.01, "high": 2.0,
+                       "x_step_mm": 50.0, "width_mm": 0.0}}, "width_mm be positive"),
+    ("physics", {"h": {"kind": "table", "x_mm": [0.0, 100.0], "values": [5.0, "abc"]}},
+     "physics.h.values: expected a number, got 'abc'"),
+    ("physics", {"h": {"kind": "table", "x_mm": 5, "values": 1}},
+     "physics.h.x_mm: expected a list of numbers, got 5"),
+    ("constraint", {"M_mm": INF}, "constraint.M_mm: expected a finite number, got inf"),
+    ("constraint", {"M_mm": NAN}, "constraint.M_mm: expected a finite number, got nan"),
+    ("constraint", {"M_list_mm": [NAN]}, "constraint.M_list_mm: expected a finite number"),
+    ("constraint", {"S0_mm2": NAN}, "constraint.S0_mm2: expected a finite number"),
+    ("profile", {"kind": "bogus"}, "profile.kind 'bogus' not one of"),
+    ("profile", {"kind": "table", "x_mm": [0.0, 60.0, 50.0, 100.0],
+                 "a_mm": [1.0, 2.0, 2.0, 1.0]}, "profile.x_mm must be strictly increasing"),
+    ("profile", {"kind": "table", "x_mm": [0.0, 100.0], "a_mm": [1.0, 0.5]},
+     "profile.a_mm must be at least a0"),
+], ids=["k_negative", "T_d_below_T_inf", "h_end_nan", "h_below_floor", "step_width_zero",
+        "h_table_text", "h_table_scalars", "M_inf", "M_nan", "M_list_nan", "S0_nan",
+        "profile_kind_bogus", "profile_x_decreasing", "profile_a_below_a0"])
+def test_malformed_config_stops_every_command_at_load(tmp_path, capsys, section, spec,
+                                                      message):
+    # a bad section stops every command at load, including commands that never read it
+    sections = {"physics": dict(PHYSICS), "constraint": dict(CONSTRAINT),
+                "profile": {"kind": "constant"}}
+    sections[section].update(spec)
+    p = write_cfg(tmp_path, **sections)
+    for command in ("solve", "optimize", "sweep", "sequence", "verify"):
+        out = tmp_path / command
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(p), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1, command
+        assert err.startswith("config error: ") and len(err.splitlines()) == 1, err
+        assert message in err, err
+        assert not out.exists() or not list(out.iterdir()), command
 
 
 def test_config_accepts_integral_values(tmp_path):
