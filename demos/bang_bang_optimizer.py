@@ -32,8 +32,7 @@ print("\n== sweep toward the supremum ==")
 sup = surface_supremum(a0, length, S0, params)
 fine = Grid(length, 2000)
 big_M = a0 + (S0 - a0 * length) / (2 * fine.dx)
-cfg = OptimConfig(a0=a0, S0=S0, M=6.25e-3, grid=fine, params=params,
-                  reconstruct=False)
+cfg = OptimConfig(a0=a0, S0=S0, M=6.25e-3, grid=fine, params=params)
 for res, M in zip(sweep_M(cfg, [6.25e-3, 25e-3, big_M]), [6.25e-3, 25e-3, big_M]):
     xM = switch_point(M, S0, a0, length)
     print(f"  M={M:8.4f} m: objective {res.objective:.6f} W "
@@ -43,18 +42,14 @@ for res, M in zip(sweep_M(cfg, [6.25e-3, 25e-3, big_M]), [6.25e-3, 25e-3, big_M]
 print("\n== decreasing convection: concentration at the inlet ==")
 pd = PhysicalParams(k=10.0, h=lambda x: 20.0 - 100.0 * np.asarray(x),
                     h_r=10.0, T_d=10.0, T_inf=0.0)
-cfg = OptimConfig(a0=a0, S0=3 * a0 * length, M=50e-3, grid=grid, params=pd,
-                  reconstruct=False)
-res = optimize(cfg)
-exc = (res.b_opt.density - a0) * grid.dx
-head = exc[grid.midpoints <= 0.05 * length].sum() / exc.sum()
+cfg = OptimConfig(a0=a0, S0=3 * a0 * length, M=50e-3, grid=grid, params=pd)
+head = optimize(cfg).excess_fraction(grid.midpoints <= 0.05 * length)
 print(f"  excess surface in the first 5% of the fin: {head:.1%}")
 
 print("\n== increasing convection, cap removed: a regular optimum ==")
 pi_ = PhysicalParams(k=10.0, h=lambda x: 0.25 + 17.5 * np.asarray(x),
                      h_r=2.0, T_d=10.0, T_inf=0.0)
-cfg = OptimConfig(a0=a0, S0=1.5 * a0 * length, M=None, grid=grid, params=pi_,
-                  reconstruct=False)
+cfg = OptimConfig(a0=a0, S0=1.5 * a0 * length, M=None, grid=grid, params=pi_)
 res = optimize(cfg)
 exc = res.b_opt.density - a0
 support = np.nonzero(exc > 0.01 * exc.max())[0]

@@ -96,9 +96,8 @@ def _write_optim(cfg: ExperimentConfig, oc: OptimConfig, res: OptimResult,
     fmt = cfg.out_format
     write_table(out / f"b_opt{suffix}.csv", ["x_mid_m", "b_m"],
                 [x_mid, res.b_opt.density], fmt=fmt)
-    if res.a_opt is not None:
-        write_table(out / f"a_opt{suffix}.csv", ["x_m", "a_m"],
-                    [x, res.a_opt.values], fmt=fmt)
+    write_table(out / f"a_opt{suffix}.csv", ["x_m", "a_m"],
+                [x, res.a_opt.values], fmt=fmt)
     write_table(out / f"T_opt{suffix}.csv", ["x_m", "T_C"],
                 [x, res.temperature], fmt=fmt)
     write_table(out / f"objective_trace{suffix}.csv", ["iteration", "objective_W"],
@@ -112,15 +111,12 @@ def _write_optim(cfg: ExperimentConfig, oc: OptimConfig, res: OptimResult,
         "cells_between_bounds": int(np.sum(res.active_set == "free")),
         "cap_M_m": oc.M,
     }
-    exc = (res.b_opt.density - oc.a0) * grid.dx
-    total_exc = float(exc.sum())
-    if total_exc > 0:
+    if np.any(res.b_opt.density > oc.a0):   # b >= a0, so then the excess is positive
         xm = grid.midpoints
-        report["excess_fraction_first_5pct"] = float(
-            exc[xm <= 0.05 * grid.length].sum() / total_exc)
+        report["excess_fraction_first_5pct"] = res.excess_fraction(xm <= 0.05 * grid.length)
         if cfg.h_profile.kind == "step":
-            near = np.abs(xm - cfg.h_profile.x_step) <= 0.05 * grid.length
-            report["excess_fraction_near_step"] = float(exc[near].sum() / total_exc)
+            report["excess_fraction_near_step"] = res.excess_fraction(
+                np.abs(xm - cfg.h_profile.x_step) <= 0.05 * grid.length)
     if oc.M is not None:
         bang = verify_bang_structure(res, oc)
         report.update({
@@ -139,9 +135,8 @@ def cmd_optimize(cfg: ExperimentConfig, out: Path) -> int:
     M = None if cfg.drop_cap else cfg.cap()
     if M is None and not cfg.drop_cap:
         raise ConfigError("constraint: need M_mm / M_list_mm, or drop_cap: true")
-    oc = cfg.optim_config(M, grid, reconstruct=True)
-    res = optimize(oc)
-    _write_optim(cfg, oc, res, out, format_column(grid.nodes),
+    oc = cfg.optim_config(M, grid)
+    _write_optim(cfg, oc, optimize(oc), out, format_column(grid.nodes),
                  format_column(grid.midpoints))
     return 0
 
@@ -156,7 +151,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
         if t1 == t2:
             raise ConfigError(f"caps {M1 * 1e3:.15g} and {M2 * 1e3:.15g} mm would both "
                               f"write files tagged {t1}; make them differ")
-    base = cfg.optim_config(None, cfg.grid(), reconstruct=True)
+    base = cfg.optim_config(None, cfg.grid())
     x, x_mid = format_column(base.grid.nodes), format_column(base.grid.midpoints)
     summaries = []
     prev = -np.inf

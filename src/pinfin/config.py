@@ -46,6 +46,14 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _section(raw: dict, key: str, path: Path, required: bool = False) -> dict:
+    """Top-level section ``key``, a mapping; an optional one may be absent or empty."""
+    sec = _require(raw, key, str(path)) if required else raw.get(key) or {}
+    if not isinstance(sec, dict):
+        raise ConfigError(f"{key}: expected a mapping, got {sec!r}")
+    return sec
+
+
 def _number(value, where: str, floor: float = -math.inf) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
@@ -188,12 +196,10 @@ class ExperimentConfig:
             raise ConfigError("this command needs constraint.kind=surface with a budget S0")
         return self.S0
 
-    def optim_config(self, M: float | None, grid: Grid,
-                     reconstruct: bool) -> OptimConfig:
+    def optim_config(self, M: float | None, grid: Grid) -> OptimConfig:
         """Optimizer settings for one cap ``M`` (None runs uncapped) on ``grid``."""
         return OptimConfig(a0=self.a0, S0=self.surface_budget(), M=M, grid=grid,
-                           params=self.params(), max_iters=self.max_iters,
-                           reconstruct=reconstruct)
+                           params=self.params(), max_iters=self.max_iters)
 
     def radius_profile(self, grid: Grid) -> RadiusProfile:
         kind, args = self.profile_kind, self.profile_args
@@ -241,13 +247,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
 
-    geo = _require(raw, "geometry", str(path))
+    geo = _section(raw, "geometry", path, required=True)
     a0 = _number_at(geo, "a0_mm", "geometry") * MM
     length = _number_at(geo, "length_mm", "geometry") * MM
     if a0 <= 0 or length <= 0:
         raise ConfigError("geometry: a0_mm and length_mm must be positive")
 
-    phy = _require(raw, "physics", str(path))
+    phy = _section(raw, "physics", path, required=True)
     k = _number_at(phy, "k", "physics")
     h_profile = HProfile(_require(phy, "h", "physics"), length)
     h_r = phy.get("h_r", "h(l)")
@@ -259,7 +265,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         h_r = _number(h_r, "physics.h_r")
     T_d, T_inf = _number_at(phy, "T_d", "physics"), _number_at(phy, "T_inf", "physics")
 
-    con = raw.get("constraint", {}) or {}
+    con = _section(raw, "constraint", path)
     kind = con.get("kind", "surface")
     if kind not in ("surface", "volume"):
         raise ConfigError(f"constraint.kind '{kind}' not one of surface|volume")
@@ -271,16 +277,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not isinstance(drop_cap, bool):
         raise ConfigError(f"constraint.drop_cap: expected true or false, got {drop_cap!r}")
 
-    prof = raw.get("profile", {}) or {}
+    prof = _section(raw, "profile", path)
     profile_kind = prof.get("kind", "constant")
     profile_args = {kk: vv for kk, vv in prof.items() if kk != "kind"}
 
-    num = raw.get("numerics", {}) or {}
+    num = _section(raw, "numerics", path)
     n_cells = _integer(num.get("n_cells", 500), "numerics.n_cells")
     max_iters = _integer(num.get("max_iters", 20000), "numerics.max_iters")
     seed = _integer(num.get("seed", 0), "numerics.seed")
 
-    out_format = (raw.get("output", {}) or {}).get("format", "csv")
+    out_format = _section(raw, "output", path).get("format", "csv")
     if out_format not in ("csv", "json"):
         raise ConfigError(f"output.format '{out_format}' not one of csv|json")
 

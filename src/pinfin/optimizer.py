@@ -15,16 +15,16 @@ slightly between accepted steps.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError
-from .functionals import heat_flux_relaxed
 from .grid import Grid
 from .physics import PhysicalParams
 from .profiles import RadiusProfile, SurfaceMeasure
 from .sequences import bang_density, radius_from_density, switch_point
-from .solver import FinSystem, solve_temperature
+from .solver import FinSystem
 
 # accepted objectives the nonmonotone Armijo test compares against; a
 # monotone test (memory 1) can freeze the iterates before the residual
@@ -43,7 +43,6 @@ class OptimConfig:
     params: PhysicalParams
     max_iters: int = 20000
     pg_tol: float = 1e-11          # on the projected-gradient residual, W/m
-    reconstruct: bool = True
 
     def __post_init__(self):
         if self.a0 <= 0.0:
@@ -69,7 +68,6 @@ class OptimConfig:
 @dataclass
 class OptimResult:
     b_opt: SurfaceMeasure
-    a_opt: RadiusProfile | None
     objective: float
     switch_estimate: float
     active_set: np.ndarray         # per-cell labels: "lower" | "free" | "upper"
@@ -79,7 +77,18 @@ class OptimResult:
     pg_residual: float
     budget_active: bool
     stop_reason: str               # "line_search" | "move_tol" | "stall" | "max_iters"
+    system: FinSystem = field(repr=False)   # the floor-radius kernel the run solved on
     temperature: np.ndarray = field(repr=False, default=None)
+
+    @cached_property
+    def a_opt(self) -> RadiusProfile:
+        """A radius realizing ``b_opt``, reconstructed on first read."""
+        return radius_from_density(self.b_opt, self.system.grid)
+
+    def excess_fraction(self, near: np.ndarray) -> float:
+        """Share of the excess surface ``(b - a0) dx`` on the cells ``near`` selects."""
+        exc = (self.b_opt.density - self.b_opt.floor) * self.system.grid.dx
+        return float(exc[near].sum() / exc.sum())
 
 
 def project_box_budget(v: np.ndarray, lo: float, hi: float, budget: float,
@@ -182,11 +191,8 @@ def optimize(cfg: OptimConfig) -> OptimResult:
     upper_cells = np.nonzero(labels == "upper")[0]
     switch = float((upper_cells[-1] + 1) * dx) if upper_cells.size else 0.0
 
-    measure = SurfaceMeasure(b, a0, grid.length)
-    a_opt = radius_from_density(measure, grid) if cfg.reconstruct else None
     return OptimResult(
-        b_opt=measure,
-        a_opt=a_opt,
+        b_opt=SurfaceMeasure(b, a0, grid.length),
         objective=F,
         switch_estimate=switch,
         active_set=labels,
@@ -196,6 +202,7 @@ def optimize(cfg: OptimConfig) -> OptimResult:
         pg_residual=pg_res,
         budget_active=dx * b.sum() >= cfg.S0 * (1.0 - 1e-9),
         stop_reason=stop_reason,
+        system=system,
         temperature=cfg.params.T_inf + theta,
     )
 
@@ -212,19 +219,17 @@ class BangStructureReport:
 
 
 def verify_bang_structure(res: OptimResult, cfg: OptimConfig) -> BangStructureReport:
-    """Compare an optimizer result to the two-level density with exact switch."""
+    """Compare an optimizer result, on its own kernel, to the exact-switch two-level density."""
     if cfg.M is None:
         raise ConfigError("bang structure check requires a finite cap M")
     xM = switch_point(cfg.M, cfg.S0, cfg.a0, cfg.grid.length)
-    between = int(np.sum(res.active_set == "free"))
-    bang = bang_density(cfg.M, cfg.S0, cfg.a0, cfg.grid)
-    a = RadiusProfile.constant(cfg.a0, cfg.grid)
-    F_bang = heat_flux_relaxed(solve_temperature(a, bang, cfg.params, cfg.grid))
+    bang = bang_density(cfg.M, cfg.S0, cfg.a0, cfg.grid).density
+    F_bang = res.system.relaxed_flux(res.system.excess(bang), bang)
     return BangStructureReport(
         switch_measured=res.switch_estimate,
         switch_expected=xM,
         switch_error_cells=abs(res.switch_estimate - xM) / cfg.grid.dx,
-        cells_between_bounds=between,
+        cells_between_bounds=int(np.sum(res.active_set == "free")),
         objective=res.objective,
         bang_objective=F_bang,
         objective_relative_gap=abs(res.objective - F_bang) / max(abs(F_bang), 1e-300),

@@ -25,11 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .functionals import heat_flux_relaxed
+from .functionals import heat_flux_relaxed, surface_supremum
 from .grid import Grid
 from .physics import PhysicalParams
 from .profiles import RadiusProfile, SurfaceMeasure
-from .solver import compute_gamma, solve_temperature
+from .solver import solve_temperature
 
 MIN_CELLS_PER_HALF_PERIOD = 8
 CELLS_PER_OSCILLATION = 16   # of a loaded run, in radius_from_density
@@ -49,18 +49,6 @@ class OscillationSpec:
             raise ConfigError("oscillation interval must have positive length")
         if self.n_oscillations < 1:
             raise ConfigError("need at least one oscillation per interval")
-
-    @classmethod
-    def with_default_count(cls, x_start: float, x_end: float):
-        """Interval with the canonical count floor(1/width) + 1.
-
-        Makes the per-oscillation width about width^2, hence a sup-distance
-        from the baseline of the same order.
-        """
-        width = x_end - x_start
-        if width <= 0.0:
-            raise ConfigError("oscillation interval must have positive length")
-        return cls(x_start, x_end, int(np.floor(1.0 / width)) + 1)
 
 
 def _check_step_args(S: float, m: int, a0: float, length: float) -> None:
@@ -323,12 +311,9 @@ def volume_constrained_design(
     if vol_budget <= a0 * a0 * L:
         raise ConfigError(f"volume margin V0 - 1/n = {vol_budget} below the floor volume")
 
-    flux_floor = -np.inf
     if params is not None:
-        beta = params.constant_beta()
-        gamma = compute_gamma(a0, L, beta, params.beta_r)
-        scale = params.k * np.pi * beta * params.delta_T
-        flux_floor = scale * (a0 ** 1.5 * gamma / np.sqrt(beta) + (n - a0 * L) - 1.0 / n)
+        slope = params.k * np.pi * params.constant_beta() * params.delta_T
+        flux_floor = surface_supremum(a0, L, n, params) - slope / n
 
     fluxes = {}
 

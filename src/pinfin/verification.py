@@ -224,7 +224,7 @@ def check_bang_structure(cfg: ExperimentConfig) -> Item:
     grid = cfg.grid(500)
     worst_gap, worst_cells, worst_between = 0.0, 0.0, 0
     for M in cfg.M_list:
-        oc = cfg.optim_config(M, grid, reconstruct=False)
+        oc = cfg.optim_config(M, grid)
         rep = verify_bang_structure(optimize(oc), oc)
         worst_gap = max(worst_gap, rep.objective_relative_gap)
         worst_cells = max(worst_cells, rep.switch_error_cells)
@@ -244,7 +244,7 @@ def check_sweep_monotone(cfg: ExperimentConfig) -> Item:
     grid = cfg.grid(2000)
     big_M = cfg.a0 + (cfg.S0 - cfg.a0 * cfg.length) / (2 * grid.dx)
     caps = list(cfg.M_list) + [big_M]
-    oc = cfg.optim_config(caps[0], grid, reconstruct=False)
+    oc = cfg.optim_config(caps[0], grid)
     objs = [r.objective for r in sweep_M(oc, caps)]
     sup = surface_supremum(cfg.a0, cfg.length, cfg.S0, params)
     gap = (sup - objs[-1]) / sup
@@ -276,16 +276,14 @@ def check_concentration(cfg: ExperimentConfig) -> Item:
         else:
             label, where, least = "decreasing", "in the first 5% of the fin", 0.9
             near = xm <= 0.05 * cfg.length
-        res = optimize(cfg.optim_config(M, grid, reconstruct=False))
-        exc = (res.b_opt.density - cfg.a0) * grid.dx
-        frac = float(exc[near].sum() / exc.sum())
+        frac = optimize(cfg.optim_config(M, grid)).excess_fraction(near)
         return Item("concentration_behavior", frac >= least, False, frac, least,
                     f"{label} h: fraction of excess surface {where} at M={M:g}")
     if kind == "affine" and h.end > h.start:
         if not cfg.drop_cap:
             return _skip("concentration_behavior",
                          "increasing h check runs with the cap dropped")
-        res = optimize(cfg.optim_config(None, grid, reconstruct=False))
+        res = optimize(cfg.optim_config(None, grid))
         exc = res.b_opt.density - cfg.a0
         support = exc > 0.01 * exc.max()
         ratio = float(exc.max() / np.median(exc[support]))

@@ -10,10 +10,11 @@ from pinfin import (ConfigError, Grid, OptimConfig, PhysicalParams,
                     bang_density, heat_flux_relaxed, optimize,
                     project_box_budget, surface_supremum, sweep_M,
                     verify_bang_structure)
+from pinfin import optimizer
 from pinfin.config import load_config
 from pinfin.functionals import flux_gradient_density
 from pinfin.profiles import RadiusProfile
-from pinfin.solver import solve_temperature
+from pinfin.solver import FinSystem, solve_temperature
 
 A0, ELL = 1e-3, 0.1
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -24,7 +25,7 @@ def make_cfg(n=200, M=25e-3, S0=None, h=10.0, max_iters=20000):
                             T_d=10.0, T_inf=0.0)
     return OptimConfig(a0=A0, S0=S0 if S0 is not None else 6 * A0 * ELL,
                        M=M, grid=Grid(ELL, n), params=params,
-                       max_iters=max_iters, reconstruct=False)
+                       max_iters=max_iters)
 
 
 # ------------------------------------------------------------- projection
@@ -192,8 +193,7 @@ def test_nonmonotone_search_converges_on_step_convection():
     # a monotone Armijo test with spectral steps freezes this run above pg_tol
     cfg = load_config(CONFIGS / "step_h.yaml")
     res = optimize(OptimConfig(a0=cfg.a0, S0=cfg.S0, M=2.6e-3, grid=cfg.grid(),
-                               params=cfg.params(), max_iters=cfg.max_iters,
-                               reconstruct=False))
+                               params=cfg.params(), max_iters=cfg.max_iters))
     assert res.converged, (res.stop_reason, res.pg_residual)
     assert_best_objective_returned(res)
 
@@ -202,7 +202,7 @@ def test_nonmonotone_search_converges_on_step_convection():
 def test_optimizer_and_public_functionals_share_one_kernel(name):
     cfg = load_config(CONFIGS / name)
     oc = OptimConfig(a0=cfg.a0, S0=cfg.S0, M=None if cfg.drop_cap else cfg.cap(),
-                     grid=cfg.grid(), params=cfg.params(), reconstruct=False)
+                     grid=cfg.grid(), params=cfg.params())
     res = optimize(oc)
     a = RadiusProfile.constant(cfg.a0, oc.grid)
     T = solve_temperature(a, res.b_opt, oc.params, oc.grid)
@@ -262,11 +262,47 @@ def test_optimizer_is_deterministic():
 
 def test_reconstruction_attached_to_result():
     cfg = make_cfg(n=400)
-    cfg.reconstruct = True
     res = optimize(cfg)
     assert res.a_opt is not None
     assert np.all(res.a_opt.values >= A0 * (1 - 1e-12))
     assert float(np.max(res.a_opt.values)) > A0
+
+
+def test_radius_is_reconstructed_once_on_first_read(monkeypatch):
+    calls = []
+    rebuild = optimizer.radius_from_density
+    monkeypatch.setattr(optimizer, "radius_from_density",
+                        lambda b, grid: calls.append(b) or rebuild(b, grid))
+    res = optimize(make_cfg(n=400))
+    assert calls == []
+    first = res.a_opt
+    assert res.a_opt is first and len(calls) == 1 and calls[0] is res.b_opt
+
+
+def test_bang_check_runs_on_the_optimizers_kernel(monkeypatch):
+    built = []
+    init = FinSystem.__init__
+    monkeypatch.setattr(FinSystem, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    cfg = make_cfg(n=500, M=12.5e-3)
+    res = optimize(cfg)
+    rep = verify_bang_structure(res, cfg)
+    assert built == [res.system]
+    monkeypatch.undo()
+    bang = bang_density(cfg.M, cfg.S0, A0, cfg.grid)
+    T = solve_temperature(RadiusProfile.constant(A0, cfg.grid), bang, cfg.params,
+                          cfg.grid)
+    assert rep.bang_objective == heat_flux_relaxed(T)
+
+
+@pytest.mark.parametrize("M", [12.5e-3, None])
+def test_excess_fraction_is_the_share_of_excess_surface(M):
+    cfg = make_cfg(n=500, M=M, h=lambda x: 20.0 - 100.0 * np.asarray(x))
+    res = optimize(cfg)
+    xm = cfg.grid.midpoints
+    exc = (res.b_opt.density - A0) * cfg.grid.dx
+    for near in (xm <= 0.05 * ELL, np.abs(xm - 0.5 * ELL) <= 0.05 * ELL):
+        assert res.excess_fraction(near) == float(exc[near].sum() / exc.sum())
 
 
 def test_infeasible_configurations_rejected():
@@ -303,11 +339,9 @@ def test_concentration_fraction_grows_with_the_cap():
     S0 = 3 * A0 * ELL
     fracs = []
     for M in (6.25e-3, 12.5e-3, 25e-3, 50e-3):
-        cfg = OptimConfig(a0=A0, S0=S0, M=M, grid=grid, params=params,
-                          reconstruct=False)
+        cfg = OptimConfig(a0=A0, S0=S0, M=M, grid=grid, params=params)
         res = optimize(cfg)
-        exc = (res.b_opt.density - A0) * grid.dx
-        fracs.append(float(exc[grid.midpoints <= 0.05 * ELL].sum() / exc.sum()))
+        fracs.append(res.excess_fraction(grid.midpoints <= 0.05 * ELL))
     assert all(f2 > f1 for f1, f2 in zip(fracs, fracs[1:]))
     assert fracs[-1] >= 0.9
 

