@@ -23,7 +23,7 @@ print("== capped optimization, constant convection ==")
 print("   cap M      switch (found / exact)   cells between   objective [W]")
 for M in (6.25e-3, 12.5e-3, 25e-3, 50e-3):
     cfg = OptimConfig(a0=a0, S0=S0, M=M, grid=grid, params=params)
-    rep = verify_bang_structure(optimize(cfg), cfg)
+    rep = verify_bang_structure(optimize(cfg))
     print(f"  {M * 1e3:6.2f}mm   {rep.switch_measured * 1e3:7.2f} / "
           f"{rep.switch_expected * 1e3:7.2f} mm      {rep.cells_between_bounds}"
           f"           {rep.objective:.6f}")
@@ -33,7 +33,8 @@ sup = surface_supremum(a0, length, S0, params)
 fine = Grid(length, 2000)
 big_M = a0 + (S0 - a0 * length) / (2 * fine.dx)
 cfg = OptimConfig(a0=a0, S0=S0, M=6.25e-3, grid=fine, params=params)
-for res, M in zip(sweep_M(cfg, [6.25e-3, 25e-3, big_M]), [6.25e-3, 25e-3, big_M]):
+for res in sweep_M(cfg, [6.25e-3, 25e-3, big_M]):
+    M = res.config.M
     xM = switch_point(M, S0, a0, length)
     print(f"  M={M:8.4f} m: objective {res.objective:.6f} W "
           f"({res.objective / sup:6.1%} of supremum {sup:.6f}, "

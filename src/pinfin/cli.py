@@ -27,8 +27,7 @@ from .config import ExperimentConfig, load_config
 from .errors import ConfigError, NumericalError
 from .functionals import flux_report, surface_supremum
 from .io import format_column, write_json, write_table
-from .optimizer import (OptimConfig, OptimResult, iter_sweep_M, optimize,
-                        verify_bang_structure)
+from .optimizer import OptimResult, iter_sweep_M, optimize, verify_bang_structure
 from .profiles import SurfaceMeasure, enforce_surface_bound
 from .sequences import bang_density, switch_point
 from .solver import solve_temperature
@@ -89,11 +88,9 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def _write_optim(cfg: ExperimentConfig, oc: OptimConfig, res: OptimResult,
-                 out: Path, x: list[str], x_mid: list[str],
-                 suffix: str = "") -> dict:
-    grid = oc.grid
-    fmt = cfg.out_format
+def _write_optim(cfg: ExperimentConfig, res: OptimResult, out: Path,
+                 x: list[str], x_mid: list[str], suffix: str = "") -> dict:
+    oc, grid, fmt = res.config, res.config.grid, cfg.out_format
     write_table(out / f"b_opt{suffix}.csv", ["x_mid_m", "b_m"],
                 [x_mid, res.b_opt.density], fmt=fmt)
     write_table(out / f"a_opt{suffix}.csv", ["x_m", "a_m"],
@@ -118,7 +115,7 @@ def _write_optim(cfg: ExperimentConfig, oc: OptimConfig, res: OptimResult,
             report["excess_fraction_near_step"] = res.excess_fraction(
                 np.abs(xm - cfg.h_profile.x_step) <= 0.05 * grid.length)
     if oc.M is not None:
-        bang = verify_bang_structure(res, oc)
+        bang = verify_bang_structure(res)
         report.update({
             "switch_measured_m": bang.switch_measured,
             "switch_expected_m": bang.switch_expected,
@@ -135,19 +132,17 @@ def cmd_optimize(cfg: ExperimentConfig, out: Path) -> int:
     M = None if cfg.drop_cap else cfg.cap()
     if M is None and not cfg.drop_cap:
         raise ConfigError("constraint: need M_mm / M_list_mm, or drop_cap: true")
-    oc = cfg.optim_config(M, grid)
-    _write_optim(cfg, oc, optimize(oc), out, format_column(grid.nodes),
-                 format_column(grid.midpoints))
+    _write_optim(cfg, optimize(cfg.optim_config(M, grid)), out,
+                 format_column(grid.nodes), format_column(grid.midpoints))
     return 0
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     if not cfg.M_list:
         raise ConfigError("constraint.M_list_mm is required for sweep")
-    caps = sorted(cfg.M_list)
-    tags = ["_M%gmm" % (M * 1e3) for M in caps]
-    # the tag rounds monotonically, so caps that share one are neighbours
-    for M1, M2, t1, t2 in zip(caps, caps[1:], tags, tags[1:]):
+    tags = ["_M%gmm" % (M * 1e3) for M in cfg.M_list]
+    # caps load sorted and the tag rounds monotonically, so clashes are neighbours
+    for M1, M2, t1, t2 in zip(cfg.M_list, cfg.M_list[1:], tags, tags[1:]):
         if t1 == t2:
             raise ConfigError(f"caps {M1 * 1e3:.15g} and {M2 * 1e3:.15g} mm would both "
                               f"write files tagged {t1}; make them differ")
@@ -155,9 +150,9 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     x, x_mid = format_column(base.grid.nodes), format_column(base.grid.midpoints)
     summaries = []
     prev = -np.inf
-    for M, tag, res in zip(caps + [None], tags + ["_uncapped"],
-                           iter_sweep_M(base, caps, include_uncapped=cfg.drop_cap)):
-        rep = _write_optim(cfg, replace(base, M=M), res, out, x, x_mid, suffix=tag)
+    for res, tag in zip(iter_sweep_M(base, cfg.M_list, include_uncapped=cfg.drop_cap),
+                        tags + ["_uncapped"]):
+        rep = _write_optim(cfg, res, out, x, x_mid, suffix=tag)
         rep["nondecreasing_vs_previous"] = bool(res.objective >= prev - 1e-12)
         prev = res.objective
         summaries.append(rep)

@@ -23,6 +23,7 @@ from .sequences import oscillating_profile, step_density
 
 MM = 1e-3
 MM2 = 1e-6
+SECTIONS = ("geometry", "physics", "constraint", "profile", "numerics", "output")
 
 
 class _ConfigLoader(yaml.SafeLoader):
@@ -47,8 +48,8 @@ def _require(mapping: dict, key: str, where: str):
 
 
 def _section(raw: dict, key: str, path: Path, required: bool = False) -> dict:
-    """Top-level section ``key``, a mapping; an optional one may be absent or empty."""
-    sec = _require(raw, key, str(path)) if required else raw.get(key) or {}
+    """Top-level section ``key``, a mapping; an optional one may be absent or null."""
+    sec = _require(raw, key, str(path)) if required or raw.get(key) is not None else {}
     if not isinstance(sec, dict):
         raise ConfigError(f"{key}: expected a mapping, got {sec!r}")
     return sec
@@ -173,6 +174,10 @@ class ExperimentConfig:
             raise ConfigError(f"numerics.seed must be >= 0, got {self.seed}")
         if self.max_iters < 1:
             raise ConfigError(f"numerics.max_iters must be >= 1, got {self.max_iters}")
+        self.M_list = sorted(self.M_list)
+        for M1, M2 in zip(self.M_list, self.M_list[1:]):
+            if M1 == M2:
+                raise ConfigError(f"constraint.M_list_mm: cap {M1 * 1e3:g} mm is repeated")
         # build what the commands build, so a bad section fails here, before any work
         self.params()
         self.radius_profile(self.grid())
@@ -181,7 +186,7 @@ class ExperimentConfig:
         """The one cap of a single run: M_mm, else the largest of M_list_mm."""
         if self.M is not None:
             return self.M
-        return max(self.M_list) if self.M_list else None
+        return self.M_list[-1] if self.M_list else None
 
     def grid(self, n_cells: int | None = None) -> Grid:
         return Grid(self.length, n_cells or self.n_cells)
@@ -246,6 +251,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"{path}: YAML parse error: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
+    unknown = [key for key in raw if key not in SECTIONS]
+    if unknown:
+        raise ConfigError(f"{path}: unknown top-level key(s) {unknown}; "
+                          f"expected sections {', '.join(SECTIONS)}")
 
     geo = _section(raw, "geometry", path, required=True)
     a0 = _number_at(geo, "a0_mm", "geometry") * MM

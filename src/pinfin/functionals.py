@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError
 from .grid import Grid
 from .physics import PhysicalParams
-from .profiles import FluxReport, RadiusProfile, SurfaceMeasure
+from .profiles import FluxReport, RadiusProfile, SurfaceMeasure, excess_surface
 from .solver import TemperatureField, compute_gamma, solve_temperature
 
 
@@ -66,15 +66,12 @@ def surface_supremum(a0: float, length: float, S0: float,
     density plus all excess surface concentrated at the inlet, giving
     ``k pi beta dT (a0^(3/2) gamma / sqrt(beta) + S0 - a0 L)``.
     """
-    if S0 < a0 * length:
-        raise ConfigError(
-            f"surface budget S0={S0} below the degenerate minimum {a0 * length}"
-        )
+    excess = excess_surface(S0, a0, length)
     beta = params.constant_beta()
     gamma = compute_gamma(a0, length, beta, params.beta_r)
     dT = params.delta_T
     return float(params.k * np.pi * beta * dT
-                 * (a0 ** 1.5 * gamma / np.sqrt(beta) + (S0 - a0 * length)))
+                 * (a0 ** 1.5 * gamma / np.sqrt(beta) + excess))
 
 
 def generalized_supremum(a0: float, length: float, S0: float,
@@ -85,10 +82,7 @@ def generalized_supremum(a0: float, length: float, S0: float,
     tip term from a constant-radius solve; consistent with the relaxed
     functional, it reduces exactly to ``surface_supremum`` for constant h.
     """
-    if S0 < a0 * length:
-        raise ConfigError(
-            f"surface budget S0={S0} below the degenerate minimum {a0 * length}"
-        )
+    excess = excess_surface(S0, a0, length)
     if params.is_constant_h:
         return surface_supremum(a0, length, S0, params)
     beta_nodes = params.beta(grid.nodes)
@@ -99,8 +93,7 @@ def generalized_supremum(a0: float, length: float, S0: float,
     a = RadiusProfile.constant(a0, grid)
     b = SurfaceMeasure.constant(a0, grid)
     base = heat_flux_relaxed(solve_temperature(a, b, params, grid))
-    inlet = params.k * np.pi * (S0 - a0 * length) * float(params.beta(0.0)) \
-        * params.delta_T
+    inlet = params.k * np.pi * excess * float(params.beta(0.0)) * params.delta_T
     return float(base + inlet)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError
 from .grid import Grid
 from .physics import PhysicalParams
-from .profiles import RadiusProfile, SurfaceMeasure
+from .profiles import RadiusProfile, SurfaceMeasure, excess_surface
 from .sequences import bang_density, radius_from_density, switch_point
 from .solver import FinSystem
 
@@ -49,20 +49,9 @@ class OptimConfig:
             raise ConfigError(f"floor radius a0 must be positive, got {self.a0}")
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be at least 1, got {self.max_iters}")
-        if self.S0 < self.a0 * self.grid.length:
-            raise ConfigError(
-                f"surface budget S0={self.S0} below the degenerate minimum "
-                f"{self.a0 * self.grid.length}"
-            )
+        excess_surface(self.S0, self.a0, self.grid.length)
         if self.M is not None:
-            if self.M <= self.a0:
-                raise ConfigError(f"cap M={self.M} must exceed the floor a0={self.a0}")
-            if self.S0 > self.a0 * self.grid.length and \
-                    switch_point(self.M, self.S0, self.a0, self.grid.length) > self.grid.length:
-                raise ConfigError(
-                    f"infeasible cap M={self.M}: the budget S0={self.S0} does not "
-                    f"fit below the cap on a fin of length {self.grid.length}"
-                )
+            switch_point(self.M, self.S0, self.a0, self.grid.length)
 
 
 @dataclass
@@ -77,17 +66,18 @@ class OptimResult:
     pg_residual: float
     budget_active: bool
     stop_reason: str               # "line_search" | "move_tol" | "stall" | "max_iters"
+    config: OptimConfig = field(repr=False)  # the settings the run was made with
     system: FinSystem = field(repr=False)   # the floor-radius kernel the run solved on
     temperature: np.ndarray = field(repr=False, default=None)
 
     @cached_property
     def a_opt(self) -> RadiusProfile:
         """A radius realizing ``b_opt``, reconstructed on first read."""
-        return radius_from_density(self.b_opt, self.system.grid)
+        return radius_from_density(self.b_opt, self.config.grid)
 
     def excess_fraction(self, near: np.ndarray) -> float:
         """Share of the excess surface ``(b - a0) dx`` on the cells ``near`` selects."""
-        exc = (self.b_opt.density - self.b_opt.floor) * self.system.grid.dx
+        exc = (self.b_opt.density - self.b_opt.floor) * self.config.grid.dx
         return float(exc[near].sum() / exc.sum())
 
 
@@ -202,6 +192,7 @@ def optimize(cfg: OptimConfig) -> OptimResult:
         pg_residual=pg_res,
         budget_active=dx * b.sum() >= cfg.S0 * (1.0 - 1e-9),
         stop_reason=stop_reason,
+        config=cfg,
         system=system,
         temperature=cfg.params.T_inf + theta,
     )
@@ -218,8 +209,9 @@ class BangStructureReport:
     objective_relative_gap: float
 
 
-def verify_bang_structure(res: OptimResult, cfg: OptimConfig) -> BangStructureReport:
+def verify_bang_structure(res: OptimResult) -> BangStructureReport:
     """Compare an optimizer result, on its own kernel, to the exact-switch two-level density."""
+    cfg = res.config
     if cfg.M is None:
         raise ConfigError("bang structure check requires a finite cap M")
     xM = switch_point(cfg.M, cfg.S0, cfg.a0, cfg.grid.length)

@@ -138,6 +138,13 @@ class FluxReport:
     relative_gap: float
 
 
+def excess_surface(S: float, a0: float, length: float) -> float:
+    """Surface ``S - a0 L`` above the floor design; a budget below it is refused."""
+    if not S >= a0 * length:
+        raise ConfigError(f"surface budget S={S} below the floor surface a0 L = {a0 * length}")
+    return S - a0 * length
+
+
 def admissible_radius_bound(S0: float, length: float) -> float:
     """Uniform bound on any radius with lateral surface integral <= S0."""
     return float(np.sqrt(S0 * S0 / (length * length) + 4.0 * S0))

@@ -28,7 +28,7 @@ from .errors import ConfigError, NumericalError
 from .functionals import heat_flux_relaxed, surface_supremum
 from .grid import Grid
 from .physics import PhysicalParams
-from .profiles import RadiusProfile, SurfaceMeasure
+from .profiles import RadiusProfile, SurfaceMeasure, excess_surface
 from .solver import solve_temperature
 
 MIN_CELLS_PER_HALF_PERIOD = 8
@@ -51,15 +51,16 @@ class OscillationSpec:
             raise ConfigError("need at least one oscillation per interval")
 
 
-def _check_step_args(S: float, m: int, a0: float, length: float) -> None:
+def _check_step_args(S: float, m: int, a0: float, length: float) -> float:
+    """Check an m-fold design of total S and return its excess surface S - a0 L."""
     if a0 <= 0.0 or length <= 0.0:
         raise ConfigError("a0 and length must be positive")
-    if S < a0 * length:
-        raise ConfigError(f"surface total S={S} below the minimum {a0 * length}")
+    excess = excess_surface(S, a0, length)
     if m < 1:
         raise ConfigError(f"oscillation count m must be >= 1, got {m}")
-    if S > a0 * length and 1.0 / m >= length:
+    if excess > 0.0 and 1.0 / m >= length:
         raise ConfigError(f"m={m} too small: the loaded interval 1/m must fit in (0, {length})")
+    return excess
 
 
 def _overlap(lo: np.ndarray, hi: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -73,16 +74,15 @@ def step_density(S: float, m: int, a0: float, grid: Grid) -> SurfaceMeasure:
     every grid.  Degenerate budget S = a0 L returns the constant floor.
     """
     L = grid.length
-    _check_step_args(S, m, a0, L)
+    height = _check_step_args(S, m, a0, L) * m
     x = grid.nodes
-    height = (S - a0 * L) * m
     dens = a0 + height * _overlap(x[:-1], x[1:], 0.0, 1.0 / m) / grid.dx
     return SurfaceMeasure(dens, a0, L)
 
 
-def _arc_offset(S: float, m: int, a0: float, length: float) -> tuple[float, float]:
+def _arc_offset(excess: float, m: int, a0: float) -> tuple[float, float]:
     """Arc level M_m and horizontal offset sqrt(M_m^2 - a0^2)."""
-    Mm = a0 + (S - a0 * length) * m
+    Mm = a0 + excess * m
     return Mm, float(np.sqrt(max(Mm * Mm - a0 * a0, 0.0)))
 
 
@@ -93,12 +93,12 @@ def oscillating_radius(x, S: float, m: int, a0: float, length: float) -> np.ndar
     by its mirror image; the profile is a0 on [1/m, L].  On the arcs the
     lateral density a sqrt(1 + a'^2) equals the constant arc level exactly.
     """
-    _check_step_args(S, m, a0, length)
+    excess = _check_step_args(S, m, a0, length)
     x = np.asarray(x, dtype=float)
     out = np.full(x.shape, a0)
-    if S == a0 * length:
+    if excess == 0.0:
         return out
-    Mm, off = _arc_offset(S, m, a0, length)
+    Mm, off = _arc_offset(excess, m, a0)
     period = 1.0 / (m * m)
     if off < period / 2.0:
         raise ConfigError(
@@ -118,9 +118,10 @@ def oscillation_peak(S: float, m: int, a0: float, length: float) -> float:
     """Sup-norm distance of the oscillating profile from the floor a0.
 
     Attained at every half-period midpoint; decays like 1/m as m grows."""
-    if S == a0 * length:
+    excess = _check_step_args(S, m, a0, length)
+    if excess == 0.0:
         return 0.0
-    Mm, off = _arc_offset(S, m, a0, length)
+    Mm, off = _arc_offset(excess, m, a0)
     h = 0.5 / (m * m)
     # peak^2 - a0^2 = h (Mm + off - h) - a0^2 h / (Mm + off), all positive terms
     gap = h * ((Mm + off - h) - a0 * a0 / (Mm + off))
@@ -131,10 +132,10 @@ def oscillation_peak(S: float, m: int, a0: float, length: float) -> float:
 def oscillating_profile_volume(S: float, m: int, a0: float,
                                length: float) -> float:
     """Exact integral of a^2 for the oscillating profile (arc antiderivative)."""
-    _check_step_args(S, m, a0, length)
-    if S == a0 * length:
+    excess = _check_step_args(S, m, a0, length)
+    if excess == 0.0:
         return a0 * a0 * length
-    Mm, off = _arc_offset(S, m, a0, length)
+    Mm, off = _arc_offset(excess, m, a0)
     h = 0.5 / (m * m)
     # int_0^h a^2 = h (a0^2 + off h - h^2/3), no cancellation for off >> a0
     per_half_arc = h * (a0 * a0 + off * h - h * h / 3.0)
@@ -150,7 +151,7 @@ def oscillating_profile(S: float, m: int, a0: float, grid: Grid,
     sampled slopes alias.  Callers that pair the profile with its exact step
     density (which needs no resolution) may disable the check.
     """
-    if check_resolution and S > a0 * grid.length:
+    if check_resolution and _check_step_args(S, m, a0, grid.length) > 0.0:
         half = 0.5 / (m * m)
         if half / grid.dx < MIN_CELLS_PER_HALF_PERIOD:
             raise ConfigError(
@@ -162,24 +163,24 @@ def oscillating_profile(S: float, m: int, a0: float, grid: Grid,
 
 
 def switch_point(M: float, S0: float, a0: float, length: float) -> float:
-    """Switch abscissa (S0 - a0 L) / (M - a0) of the capped optimal density."""
-    if M <= a0:
+    """Switch abscissa (S0 - a0 L) / (M - a0) of the capped optimal density.
+
+    The cap rule: ``M`` must exceed ``a0`` and hold the excess surface on the fin.
+    """
+    excess = excess_surface(S0, a0, length)
+    if not M > a0:
         raise ConfigError(f"cap M={M} must exceed the floor a0={a0}")
-    return (S0 - a0 * length) / (M - a0)
+    xM = excess / (M - a0)
+    if xM > length:
+        raise ConfigError(f"infeasible cap M={M}: the budget S0={S0} does not fit "
+                          f"below the cap on a fin of length {length} (switch at {xM})")
+    return xM
 
 
 def bang_density(M: float, S0: float, a0: float, grid: Grid) -> SurfaceMeasure:
     """Two-level density at the cap M up to the switch point, a0 beyond."""
     L = grid.length
-    if S0 < a0 * L:
-        raise ConfigError(f"surface budget S0={S0} below the minimum {a0 * L}")
-    if S0 == a0 * L:
-        return SurfaceMeasure.constant(a0, grid)
     xM = switch_point(M, S0, a0, L)
-    if xM > L:
-        raise ConfigError(
-            f"cap M={M} cannot hold the surface budget: switch {xM} beyond L={L}"
-        )
     x = grid.nodes
     dens = a0 + (M - a0) * _overlap(x[:-1], x[1:], 0.0, xM) / grid.dx
     return SurfaceMeasure(dens, a0, L)
@@ -289,15 +290,15 @@ def radius_from_density(b: SurfaceMeasure, grid: Grid) -> RadiusProfile:
 
 def volume_constrained_design(
         surface_target: float, V0: float, a0: float, grid: Grid,
-        params: PhysicalParams | None = None) -> tuple[RadiusProfile, int, float | None]:
+        params: PhysicalParams) -> tuple[RadiusProfile, int, float]:
     """Oscillating design inside a volume budget: profile, oscillations, flux.
 
     Returns the design with the smallest oscillation count m such that its
-    exact volume is at most ``V0 - 1/n`` (n = surface_target) and, when
-    ``params`` is given, its flux is within ``k pi beta dT / n`` of the
-    concentration limit.  Found by doubling then bisecting; both conditions
-    are monotone in m.  The profile's exact lateral density is
-    ``step_density(n, m, a0, grid)``; the flux (None without ``params``) used it.
+    exact volume is at most ``V0 - 1/n`` (n = surface_target) and its flux is
+    within ``k pi beta dT / n`` of the concentration limit.  Found by
+    doubling then bisecting; both conditions are monotone in m.  The
+    profile's exact lateral density is ``step_density(n, m, a0, grid)``; the
+    flux used it.
     """
     L = grid.length
     n = surface_target
@@ -311,20 +312,18 @@ def volume_constrained_design(
     if vol_budget <= a0 * a0 * L:
         raise ConfigError(f"volume margin V0 - 1/n = {vol_budget} below the floor volume")
 
-    if params is not None:
-        slope = params.k * np.pi * params.constant_beta() * params.delta_T
-        flux_floor = surface_supremum(a0, L, n, params) - slope / n
+    slope = params.k * np.pi * params.constant_beta() * params.delta_T
+    flux_floor = surface_supremum(a0, L, n, params) - slope / n
 
     fluxes = {}
 
     def feasible(m):
         if oscillating_profile_volume(n, m, a0, L) > vol_budget:
             return False
-        if params is not None:
-            prof = RadiusProfile(oscillating_radius(grid.nodes, n, m, a0, L), a0, L)
-            fluxes[m] = heat_flux_relaxed(
-                solve_temperature(prof, step_density(n, m, a0, grid), params, grid))
-        return params is None or fluxes[m] >= flux_floor
+        prof = RadiusProfile(oscillating_radius(grid.nodes, n, m, a0, L), a0, L)
+        fluxes[m] = heat_flux_relaxed(
+            solve_temperature(prof, step_density(n, m, a0, grid), params, grid))
+        return fluxes[m] >= flux_floor
 
     m = max(int(np.floor(1.0 / L)) + 1, 2)
     m_lo = m
@@ -341,4 +340,4 @@ def volume_constrained_design(
             hi = mid
         else:
             lo = mid
-    return oscillating_profile(n, hi, a0, grid), hi, fluxes.get(hi)
+    return oscillating_profile(n, hi, a0, grid), hi, fluxes[hi]

@@ -25,9 +25,10 @@ from .functionals import (directional_derivative, flux_gradient_density,
 from .grid import Grid
 from .optimizer import optimize, sweep_M, verify_bang_structure
 from .physics import PhysicalParams
-from .profiles import (RadiusProfile, SurfaceMeasure, admissible_radius_bound)
+from .profiles import (RadiusProfile, SurfaceMeasure, admissible_radius_bound,
+                       excess_surface)
 from .randoms import random_pair, random_radius
-from .sequences import (oscillating_radius, step_density,
+from .sequences import (oscillating_radius, step_density, switch_point,
                         volume_constrained_design)
 from .solver import closed_form_temperature, solve_temperature
 
@@ -154,7 +155,7 @@ def check_volume_unbounded() -> Item:
         if vol > V0 - 1.0 / n + 1e-9:
             return Item("volume_unbounded", False, False, vol, V0 - 1.0 / n,
                         f"profile for n={n} misses the volume budget")
-        ratio = F / (scale * (n - a0 * length))
+        ratio = F / (scale * excess_surface(n, a0, length))
         worst = min(worst, ratio)
         details.append(f"n={n}: F/linear={ratio:.4f}")
     return Item("volume_unbounded", worst >= 0.98, False, worst, 0.98,
@@ -224,8 +225,7 @@ def check_bang_structure(cfg: ExperimentConfig) -> Item:
     grid = cfg.grid(500)
     worst_gap, worst_cells, worst_between = 0.0, 0.0, 0
     for M in cfg.M_list:
-        oc = cfg.optim_config(M, grid)
-        rep = verify_bang_structure(optimize(oc), oc)
+        rep = verify_bang_structure(optimize(cfg.optim_config(M, grid)))
         worst_gap = max(worst_gap, rep.objective_relative_gap)
         worst_cells = max(worst_cells, rep.switch_error_cells)
         worst_between = max(worst_between, rep.cells_between_bounds)
@@ -242,7 +242,7 @@ def check_sweep_monotone(cfg: ExperimentConfig) -> Item:
         return _skip("sweep_monotonicity", "requires a surface budget and an M list")
     params = cfg.params()
     grid = cfg.grid(2000)
-    big_M = cfg.a0 + (cfg.S0 - cfg.a0 * cfg.length) / (2 * grid.dx)
+    big_M = cfg.a0 + excess_surface(cfg.S0, cfg.a0, cfg.length) / (2 * grid.dx)
     caps = list(cfg.M_list) + [big_M]
     oc = cfg.optim_config(caps[0], grid)
     objs = [r.objective for r in sweep_M(oc, caps)]
@@ -253,7 +253,7 @@ def check_sweep_monotone(cfg: ExperimentConfig) -> Item:
     return Item("sweep_monotonicity", ok, False, gap, 0.05,
                 f"objectives {['%.5e' % o for o in objs]}, final gap to "
                 f"supremum {gap:.2%} (cap switch spans "
-                f"{(cfg.S0 - cfg.a0 * cfg.length) / (big_M - cfg.a0) / grid.dx:.2f} cells)")
+                f"{switch_point(big_M, cfg.S0, cfg.a0, cfg.length) / grid.dx:.2f} cells)")
 
 
 def check_concentration(cfg: ExperimentConfig) -> Item:

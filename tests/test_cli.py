@@ -359,18 +359,29 @@ CONSTRAINT = {"kind": "surface", "S0_times_a0_length": 6.0, "M_mm": 25.0,
     ("profile", 3, "profile: expected a mapping, got 3"),
     ("numerics", [1], "numerics: expected a mapping, got [1]"),
     ("output", "x", "output: expected a mapping, got 'x'"),
+    # only a null section reads as empty
+    ("numerics", 0, "numerics: expected a mapping, got 0"),
+    ("output", False, "output: expected a mapping, got False"),
+    ("profile", [], "profile: expected a mapping, got []"),
+    ("constraint", "", "constraint: expected a mapping, got ''"),
+    ("constraint", {"M_list_mm": [25.0, 12.5, 25.0]},
+     "constraint.M_list_mm: cap 25 mm is repeated"),
+    # a misspelled section would otherwise leave its defaults in force
+    ("numeric", {"n_cells": 64}, "unknown top-level key(s) ['numeric']"),
 ], ids=["k_negative", "T_d_below_T_inf", "h_end_nan", "h_below_floor", "step_width_zero",
         "h_table_text", "h_table_scalars", "M_inf", "M_nan", "M_list_nan", "S0_nan",
         "profile_kind_bogus", "profile_x_decreasing", "profile_a_below_a0",
         "geometry_scalar", "physics_scalar", "constraint_list", "profile_scalar",
-        "numerics_list", "output_text"])
+        "numerics_list", "output_text", "numerics_zero", "output_false",
+        "profile_empty_list", "constraint_empty_text", "M_list_repeated",
+        "unknown_section"])
 def test_malformed_config_stops_every_command_at_load(tmp_path, capsys, section, spec,
                                                       message):
     # a bad section stops every command at load, including commands that never read it
     sections = {"physics": dict(PHYSICS), "constraint": dict(CONSTRAINT),
                 "profile": {"kind": "constant"}}
     if isinstance(spec, dict):
-        sections[section].update(spec)
+        sections.setdefault(section, {}).update(spec)
     else:                       # the whole section is not a mapping
         sections[section] = spec
     p = write_cfg(tmp_path, **sections)
@@ -446,6 +457,21 @@ def test_verify_exit_codes(tmp_path):
     failed = {i["name"] for i in rep2["items"]
               if not i["passed"] and not i["skipped"]}
     assert "closed_form_agreement" in failed
+
+
+def test_verify_takes_the_cap_list_in_any_order(tmp_path, capsys):
+    # caps are sorted at load, so a reversed list gives the same report
+    raw = yaml.safe_load((CONFIGS / "verify.yaml").read_text())
+    runs = []
+    for name, caps in (("sorted", raw["constraint"]["M_list_mm"]),
+                       ("reversed", raw["constraint"]["M_list_mm"][::-1])):
+        p = tmp_path / f"{name}.yaml"
+        p.write_text(yaml.safe_dump({**raw, "constraint": {**raw["constraint"],
+                                                           "M_list_mm": caps}}))
+        out = tmp_path / name
+        assert main(["verify", "--config", str(p), "--out", str(out)]) == 0
+        runs.append((capsys.readouterr(), (out / "verify_report.json").read_bytes()))
+    assert runs[0] == runs[1]
 
 
 def test_numerical_failure_maps_to_exit_code_3(tmp_path, monkeypatch):

@@ -151,7 +151,7 @@ def test_optimizer_recovers_bang_bang_structure():
     cfg = make_cfg()
     res = optimize(cfg)
     assert res.converged
-    rep = verify_bang_structure(res, cfg)
+    rep = verify_bang_structure(res)
     assert rep.cells_between_bounds <= 1
     assert rep.switch_error_cells <= 1.0
     assert rep.objective_relative_gap <= 1e-6
@@ -286,7 +286,7 @@ def test_bang_check_runs_on_the_optimizers_kernel(monkeypatch):
                         lambda self, *args: built.append(self) or init(self, *args))
     cfg = make_cfg(n=500, M=12.5e-3)
     res = optimize(cfg)
-    rep = verify_bang_structure(res, cfg)
+    rep = verify_bang_structure(res)
     assert built == [res.system]
     monkeypatch.undo()
     bang = bang_density(cfg.M, cfg.S0, A0, cfg.grid)

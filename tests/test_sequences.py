@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from pinfin import (ConfigError, Grid, PhysicalParams, SurfaceMeasure,
                     bang_density, heat_flux_relaxed, oscillating_profile,
-                    oscillating_radius, oscillation_peak, solve_temperature,
-                    step_density, surface, switch_point, volume)
+                    oscillating_profile_volume, oscillating_radius,
+                    oscillation_peak, solve_temperature, step_density, surface,
+                    switch_point, volume)
 from pinfin.sequences import volume_constrained_design
 
 A0, ELL = 0.05, 1.0
@@ -42,6 +45,21 @@ def test_step_density_rejects_wide_interval():
     grid = Grid(ELL, 64)
     with pytest.raises(ConfigError):
         step_density(S, 1, A0, grid)  # 1/m = length
+
+
+@pytest.mark.parametrize("S_bad, m", [(0.5e-4, 8), (6e-4, 1)],
+                         ids=["budget_below_floor", "interval_too_wide"])
+def test_oscillating_designs_share_one_input_check(S_bad, m):
+    a0, ell = 1e-3, 0.1
+    designs = [lambda: oscillation_peak(S_bad, m, a0, ell),
+               lambda: oscillating_radius(np.zeros(3), S_bad, m, a0, ell),
+               lambda: oscillating_profile_volume(S_bad, m, a0, ell),
+               lambda: step_density(S_bad, m, a0, Grid(ell, 64))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for design in designs:
+            with pytest.raises(ConfigError):
+                design()
 
 
 # ------------------------------------------------------ oscillating profile
@@ -182,7 +200,6 @@ def test_volume_constrained_design_returns_the_flux_of_its_design():
     prof, m, F = volume_constrained_design(n, V0, a0, grid, params)
     b = step_density(n, m, a0, grid)
     assert F == heat_flux_relaxed(solve_temperature(prof, b, params, grid))
-    assert volume_constrained_design(n, V0, a0, grid)[2] is None
 
 
 def test_volume_constrained_profile_rejects_bad_budgets():
