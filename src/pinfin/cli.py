@@ -27,7 +27,8 @@ from .config import ExperimentConfig, load_config
 from .errors import ConfigError, NumericalError
 from .functionals import flux_report, surface_supremum
 from .io import format_column, write_json, write_table
-from .optimizer import OptimResult, iter_sweep_M, optimize, verify_bang_structure
+from .optimizer import (OptimResult, iter_sweep_M, nondecreasing, optimize,
+                        verify_bang_structure)
 from .profiles import SurfaceMeasure, enforce_surface_bound
 from .sequences import bang_density, switch_point
 from .solver import solve_temperature
@@ -117,7 +118,7 @@ def _write_optim(cfg: ExperimentConfig, res: OptimResult, out: Path,
     if oc.M is not None:
         bang = verify_bang_structure(res)
         report.update({
-            "switch_measured_m": bang.switch_measured,
+            "switch_measured_m": res.switch_estimate,
             "switch_expected_m": bang.switch_expected,
             "switch_error_cells": bang.switch_error_cells,
             "bang_objective_W": bang.bang_objective,
@@ -153,7 +154,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     for res, tag in zip(iter_sweep_M(base, cfg.M_list, include_uncapped=cfg.drop_cap),
                         tags + ["_uncapped"]):
         rep = _write_optim(cfg, res, out, x, x_mid, suffix=tag)
-        rep["nondecreasing_vs_previous"] = bool(res.objective >= prev - 1e-12)
+        rep["nondecreasing_vs_previous"] = nondecreasing(prev, res.objective)
         prev = res.objective
         summaries.append(rep)
     summary = {"runs": summaries}

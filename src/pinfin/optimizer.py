@@ -68,7 +68,7 @@ class OptimResult:
     stop_reason: str               # "line_search" | "move_tol" | "stall" | "max_iters"
     config: OptimConfig = field(repr=False)  # the settings the run was made with
     system: FinSystem = field(repr=False)   # the floor-radius kernel the run solved on
-    temperature: np.ndarray = field(repr=False, default=None)
+    temperature: np.ndarray = field(repr=False)
 
     @cached_property
     def a_opt(self) -> RadiusProfile:
@@ -200,11 +200,9 @@ def optimize(cfg: OptimConfig) -> OptimResult:
 
 @dataclass(frozen=True)
 class BangStructureReport:
-    switch_measured: float
     switch_expected: float
     switch_error_cells: float
     cells_between_bounds: int
-    objective: float
     bang_objective: float
     objective_relative_gap: float
 
@@ -218,14 +216,17 @@ def verify_bang_structure(res: OptimResult) -> BangStructureReport:
     bang = bang_density(cfg.M, cfg.S0, cfg.a0, cfg.grid).density
     F_bang = res.system.relaxed_flux(res.system.excess(bang), bang)
     return BangStructureReport(
-        switch_measured=res.switch_estimate,
         switch_expected=xM,
         switch_error_cells=abs(res.switch_estimate - xM) / cfg.grid.dx,
         cells_between_bounds=int(np.sum(res.active_set == "free")),
-        objective=res.objective,
         bang_objective=F_bang,
         objective_relative_gap=abs(res.objective - F_bang) / max(abs(F_bang), 1e-300),
     )
+
+
+def nondecreasing(prev: float, F: float) -> bool:
+    """Whether objective ``F`` is at least ``prev``, up to a relative roundoff slack."""
+    return bool(F >= prev * (1 - 1e-12))
 
 
 def iter_sweep_M(cfg: OptimConfig, M_list, include_uncapped: bool = False):

@@ -202,9 +202,6 @@ class TemperatureField:
     system: FinSystem
     measure: SurfaceMeasure
 
-    def at(self, x) -> float:
-        return float(np.interp(x, self.system.grid.nodes, self.values))
-
     def theta_at(self, x) -> float:
         return float(np.interp(x, self.system.grid.nodes, self.excess))
 

@@ -474,6 +474,17 @@ def test_verify_takes_the_cap_list_in_any_order(tmp_path, capsys):
     assert runs[0] == runs[1]
 
 
+def test_sweep_and_verify_accept_the_same_cap_list(tmp_path):
+    # verify's sweep item ends at the uncapped run and adds no cap of its own,
+    # so a cap list that sweep accepts, up to a metre-scale cap, verify accepts
+    raw = yaml.safe_load((CONFIGS / "verify.yaml").read_text())
+    raw["constraint"]["M_list_mm"] = [6.25, 12.5, 6000.0]
+    p = tmp_path / "wide_caps.yaml"
+    p.write_text(yaml.safe_dump(raw))
+    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "s")]) == 0
+    assert main(["verify", "--config", str(p), "--out", str(tmp_path / "v")]) == 0
+
+
 def test_numerical_failure_maps_to_exit_code_3(tmp_path, monkeypatch):
     import pinfin.cli as cli
     from pinfin.errors import NumericalError

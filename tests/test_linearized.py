@@ -46,7 +46,7 @@ def test_discrete_flux_drop_matches_source_strength(setup):
     lin = solve_linearized(T, x0, A0 / 10)
     assert lin.flux_jump < 0.0
     assert lin.flux_jump == pytest.approx(-lin.source_strength, rel=5e-3)
-    theta_x0 = T.at(x0) - params.T_inf
+    theta_x0 = T.theta_at(x0)
     expected = float(params.beta(x0)) * (A0 / 10) * theta_x0
     assert lin.source_strength == pytest.approx(expected, rel=1e-12)
 
@@ -87,7 +87,7 @@ def test_assembly_identity_with_swap_derivative(setup):
     beta_mid = params.beta(grid.midpoints)
     w = beta_mid * b.density * grid.dx / 2.0
     pairing = float(np.sum(w * (lin.values[:-1] + lin.values[1:])))
-    theta_x0 = T.at(x0) - params.T_inf
+    theta_x0 = T.theta_at(x0)
     assembly = params.k * np.pi * (
         pairing
         + c * float(params.beta(0.0)) * params.delta_T

@@ -314,6 +314,14 @@ def test_infeasible_configurations_rejected():
         make_cfg(S0=0.5 * A0 * ELL)          # budget below the floor surface
 
 
+def test_nondecreasing_is_relative_to_the_objective():
+    # an absolute slack in W is below roundoff for a kW fin and loose for a uW one
+    assert optimizer.nondecreasing(-np.inf, 1e-9)
+    assert optimizer.nondecreasing(1e3, 1e3 * (1 - 1e-13))
+    assert not optimizer.nondecreasing(1e3, 1e3 * (1 - 1e-9))
+    assert not optimizer.nondecreasing(1e-9, 1e-9 - 1e-13)
+
+
 def test_sweep_monotone_objectives():
     cfg = make_cfg(n=200, M=6.25e-3)
     results = sweep_M(cfg, [6.25e-3, 12.5e-3, 25e-3, 50e-3])
