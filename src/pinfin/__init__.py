@@ -18,29 +18,27 @@ from .optimizer import (BangStructureReport, OptimConfig, OptimResult,
                         optimize, project_box_budget, sweep_M,
                         verify_bang_structure)
 from .physics import PhysicalParams
-from .profiles import (FluxReport, LinearizedField, RadiusProfile,
-                       SurfaceMeasure, admissible_radius_bound,
-                       enforce_surface_bound)
+from .profiles import (FluxReport, RadiusProfile, SurfaceMeasure,
+                       admissible_radius_bound, enforce_surface_bound)
 from .sequences import (OscillationSpec, bang_density, oscillating_profile,
                         oscillating_profile_volume, oscillating_radius,
                         oscillation_peak, reconstruct_radius, step_density,
                         switch_point)
 from .solver import (TemperatureField, closed_form_temperature, compute_gamma,
-                     solve_linearized, solve_temperature)
+                     solve_temperature)
 
 __all__ = [
     "BangStructureReport", "ConfigError", "FluxReport", "Grid",
-    "LinearizedField", "NumericalError", "OptimConfig", "OptimResult",
-    "OscillationSpec", "PhysicalParams", "RadiusProfile", "SurfaceMeasure",
-    "TemperatureField", "admissible_radius_bound", "bang_density",
-    "closed_form_temperature", "compute_gamma", "directional_derivative",
-    "enforce_surface_bound", "flux_gradient_density", "flux_report",
-    "generalized_supremum", "heat_flux_boundary", "heat_flux_relaxed",
-    "optimize", "oscillating_profile", "oscillating_profile_volume",
-    "oscillating_radius", "oscillation_peak", "project_box_budget",
-    "reconstruct_radius", "solve_linearized", "solve_temperature",
-    "step_density", "surface", "surface_supremum", "sweep_M", "switch_point",
-    "verify_bang_structure", "volume",
+    "NumericalError", "OptimConfig", "OptimResult", "OscillationSpec",
+    "PhysicalParams", "RadiusProfile", "SurfaceMeasure", "TemperatureField",
+    "admissible_radius_bound", "bang_density", "closed_form_temperature",
+    "compute_gamma", "directional_derivative", "enforce_surface_bound",
+    "flux_gradient_density", "flux_report", "generalized_supremum",
+    "heat_flux_boundary", "heat_flux_relaxed", "optimize",
+    "oscillating_profile", "oscillating_profile_volume", "oscillating_radius",
+    "oscillation_peak", "project_box_budget", "reconstruct_radius",
+    "solve_temperature", "step_density", "surface", "surface_supremum",
+    "sweep_M", "switch_point", "verify_bang_structure", "volume",
 ]
 
 __version__ = "0.1.0"

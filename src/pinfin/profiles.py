@@ -1,4 +1,4 @@
-"""Radius profiles, surface measures, the sensitivity field and the flux report.
+"""Radius profiles, surface measures and the flux report.
 
 The design variable of the optimization is not the radius itself but the
 lateral surface density ``b = a sqrt(1 + a'^2)``; ``SurfaceMeasure`` stores a
@@ -114,21 +114,6 @@ class SurfaceMeasure:
         if self.density.size != grid.n_cells:
             raise ConfigError("surface measure does not match the grid")
         return float(grid.dx * self.density.sum() + self.atom_mass())
-
-
-@dataclass
-class LinearizedField:
-    """Solution of the sensitivity problem for a point swap of surface mass.
-
-    ``flux_jump`` is the measured jump of the discrete flux a^2 T' across the
-    control volume holding the source; it approaches minus the source strength
-    as the grid refines.
-    """
-
-    values: np.ndarray
-    x0: float
-    source_strength: float
-    flux_jump: float
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ def fourier_basis(grid: Grid) -> np.ndarray:
     return basis
 
 
-def random_radius(rng: np.random.Generator, a0: float, grid: Grid) -> RadiusProfile:
+# quoted: evaluating np.random.Generator imports numpy.random, which only verify needs
+def random_radius(rng: "np.random.Generator", a0: float, grid: Grid) -> RadiusProfile:
     """Smooth random profile >= a0 built from a few low Fourier modes.
 
     The bump ``sum amp_j (1 + sin(pi j x + phase_j))`` is formed by angle
@@ -37,7 +38,7 @@ def random_radius(rng: np.random.Generator, a0: float, grid: Grid) -> RadiusProf
     return RadiusProfile(a0 * (1.0 + bump), a0, grid.length)
 
 
-def random_pair(rng: np.random.Generator, a0: float, grid: Grid):
+def random_pair(rng: "np.random.Generator", a0: float, grid: Grid):
     """Random profile with its classical surface density."""
     a = random_radius(rng, a0, grid)
     return a, SurfaceMeasure.from_radius(a, grid)

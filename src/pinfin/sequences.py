@@ -288,6 +288,39 @@ def radius_from_density(b: SurfaceMeasure, grid: Grid) -> RadiusProfile:
     return reconstruct_radius(b, specs, a0, grid)
 
 
+def _first_feasible(shortfall, lo: int, hi: int, m_top: int) -> int | None:
+    """Smallest m in (lo, m_top] with ``shortfall(m) <= 0``, or None.
+
+    ``shortfall`` falls with m, and every m <= lo is known to fail.  From hi,
+    m grows fourfold, with m_top probed last, until it is feasible.  The
+    bracket then shrinks by aiming at the root of the chord through its ends
+    in 1/m, where the shortfall is nearly linear.  Instead it probes lo + 1
+    while lo has no shortfall, and bisects after two chord steps in a row
+    that failed to halve the bracket.
+    """
+    s_lo = np.inf
+    while (s_hi := shortfall(hi)) > 0.0:
+        if hi == m_top:
+            return None
+        lo, s_lo, hi = hi, s_hi, min(4 * hi, m_top)
+    misses = 0
+    while hi - lo > 1:
+        width = hi - lo
+        chord = s_lo < np.inf and misses < 2
+        if chord:
+            t = 1.0 / hi + (1.0 / lo - 1.0 / hi) * s_hi / (s_hi - s_lo)
+            mid = min(max(int(np.ceil(1.0 / t)), lo + 1), hi - 1)
+        else:
+            mid = lo + 1 if s_lo == np.inf else (lo + hi) // 2
+        s = shortfall(mid)
+        if s > 0.0:
+            lo, s_lo = mid, s
+        else:
+            hi, s_hi = mid, s
+        misses = misses + 1 if chord and 2 * (hi - lo) > width else 0
+    return hi
+
+
 def volume_constrained_design(
         surface_target: float, V0: float, a0: float, grid: Grid,
         params: PhysicalParams) -> tuple[RadiusProfile, int, float]:
@@ -295,10 +328,12 @@ def volume_constrained_design(
 
     Returns the design with the smallest oscillation count m such that its
     exact volume is at most ``V0 - 1/n`` (n = surface_target) and its flux is
-    within ``k pi beta dT / n`` of the concentration limit.  Found by
-    doubling then bisecting; both conditions are monotone in m.  The
-    profile's exact lateral density is ``step_density(n, m, a0, grid)``; the
-    flux used it.
+    within ``k pi beta dT / n`` of the concentration limit; both conditions
+    are monotone in m.  Among the m up to the largest ``m_lo 2^k <= M_MAX``,
+    ``_first_feasible`` finds the smallest m within the closed-form volume,
+    with no solve, and from there the smallest whose flux shortfall
+    ``flux_floor - F(m)`` is not positive.  The profile's exact lateral
+    density is ``step_density(n, m, a0, grid)``; the flux used it.
     """
     L = grid.length
     n = surface_target
@@ -317,27 +352,22 @@ def volume_constrained_design(
 
     fluxes = {}
 
-    def feasible(m):
-        if oscillating_profile_volume(n, m, a0, L) > vol_budget:
-            return False
+    def shortfall(m):
         prof = RadiusProfile(oscillating_radius(grid.nodes, n, m, a0, L), a0, L)
         fluxes[m] = heat_flux_relaxed(
             solve_temperature(prof, step_density(n, m, a0, grid), params, grid))
-        return fluxes[m] >= flux_floor
+        return flux_floor - fluxes[m]
 
-    m = max(int(np.floor(1.0 / L)) + 1, 2)
-    m_lo = m
-    while not feasible(m):
-        m *= 2
-        if m > M_MAX:
-            raise NumericalError(
-                f"no oscillation count up to {M_MAX} meets the volume/flux targets"
-            )
-    lo, hi = max(m // 2, m_lo - 1), m
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid >= m_lo and feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return oscillating_profile(n, hi, a0, grid), hi, fluxes[hi]
+    m_lo = max(int(np.floor(1.0 / L)) + 1, 2)
+    m_top = m_lo << max((M_MAX // m_lo).bit_length() - 1, 0)
+    m = _first_feasible(lambda m: oscillating_profile_volume(n, m, a0, L) - vol_budget,
+                        m_lo - 1, m_lo, m_top)
+    if m is not None:
+        hi = m_lo   # the flux search grows along m_lo 4^k, from the volume's m on
+        while hi < m:
+            hi = min(4 * hi, m_top)
+        m = _first_feasible(shortfall, m - 1, hi, m_top)
+    if m is None:
+        raise NumericalError(
+            f"no oscillation count up to {M_MAX} meets the volume/flux targets")
+    return oscillating_profile(n, m, a0, grid), m, fluxes[m]

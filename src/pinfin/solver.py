@@ -39,7 +39,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .grid import Grid
 from .physics import PhysicalParams
-from .profiles import LinearizedField, RadiusProfile, SurfaceMeasure
+from .profiles import RadiusProfile, SurfaceMeasure
 
 _FACE_TIE_TOL = 1e-12
 
@@ -194,7 +194,7 @@ class TemperatureField:
     rather than ``values - T_inf``, so tiny inlet/ambient gaps keep their
     relative accuracy.  ``system`` and ``measure`` are the discrete operator
     and the surface measure the field was solved on: the flux functionals
-    and the sensitivity solve read them instead of rebuilding the problem.
+    read them instead of rebuilding the problem.
     """
 
     values: np.ndarray
@@ -217,39 +217,6 @@ def solve_temperature(a: RadiusProfile, b: SurfaceMeasure,
     system = FinSystem(a, params, grid)
     theta = system.excess(b.density, b.atoms)
     return TemperatureField(params.T_inf + theta, theta, system, b)
-
-
-def solve_linearized(T: TemperatureField, x0: float, c: float) -> LinearizedField:
-    """Sensitivity of the temperature to a surface swap toward the inlet.
-
-    Solves the same bilinear form as ``T`` was solved with, on its kernel and
-    measure, with homogeneous Dirichlet data at x = 0 and a point load of
-    strength ``beta(x0) * c * (T(x0) - T_inf)`` on the control volume
-    containing ``x0``; this is the first-order response when mass ``c * eps``
-    is removed from a shrinking window at ``x0`` (and deposited at the inlet,
-    which the state does not see).
-    """
-    system, b = T.system, T.measure
-    grid = system.grid
-    if not (0.0 < x0 < grid.length):
-        raise ConfigError(f"swap point x0={x0} must be strictly inside (0, L)")
-    if not (c > 0.0):
-        raise ConfigError(f"swap amplitude c must be positive, got {c}")
-    m = system.reaction_weights(b.density, b.atoms)
-    theta_x0 = T.theta_at(x0)
-    strength = float(system.params.beta(x0)) * c * theta_x0
-    rhs = np.zeros(grid.n_cells)
-    for node, wgt in atom_node_weights(x0, grid):
-        if node >= 1:
-            rhs[node - 1] += wgt * strength
-    tilde = np.concatenate(([0.0], system.solve(m, rhs)))
-
-    s = system.conductance
-    i0 = atom_node_weights(x0, grid)[0][0]
-    i0 = min(max(i0, 1), grid.n_cells - 1)
-    q_left = s[i0 - 1] * (tilde[i0] - tilde[i0 - 1])
-    q_right = s[i0] * (tilde[i0 + 1] - tilde[i0])
-    return LinearizedField(tilde, x0, strength, float(q_right - q_left))
 
 
 def compute_gamma(a0: float, length: float, beta: float, beta_r: float) -> float:

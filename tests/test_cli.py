@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -522,3 +524,31 @@ def test_shipped_configs_parse():
         cfg = load_config(CONFIGS / name)
         assert cfg.S0 is not None
         cfg.params()      # validates physics
+
+
+IMPORT_PROBE = """
+import json, sys
+import numpy
+if "numpy.random" in sys.modules:
+    print(json.dumps(None))
+    sys.exit()
+import pinfin.cli
+config, out = sys.argv[1:]
+codes = [pinfin.cli.main([cmd, "--config", config, "--out", f"{out}/{cmd}",
+                          "--n-cells", "64"])
+         for cmd in ("solve", "optimize", "sweep", "sequence")]
+print(json.dumps({"codes": codes,
+                  "loaded": [m for m in ("numpy.random", "_hashlib") if m in sys.modules]}))
+"""
+
+
+def test_only_verify_imports_numpy_random(tmp_path):
+    # a fresh interpreter: another test may already have imported numpy.random
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE,
+                          str(CONFIGS / "constant_h.yaml"), str(tmp_path)],
+                         capture_output=True, text=True, check=True,
+                         cwd=CONFIGS.parent / "src")
+    seen = json.loads(out.stdout.splitlines()[-1])
+    if seen is None:
+        pytest.skip(f"numpy {np.__version__} imports numpy.random with numpy itself")
+    assert seen == {"codes": [0, 0, 0, 0], "loaded": []}

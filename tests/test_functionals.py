@@ -7,11 +7,11 @@ from pinfin import (ConfigError, Grid, PhysicalParams, RadiusProfile,
                     directional_derivative, flux_gradient_density, flux_report,
                     generalized_supremum, heat_flux_boundary, heat_flux_relaxed,
                     oscillating_profile, oscillating_profile_volume,
-                    solve_linearized, solve_temperature, surface,
-                    surface_supremum, volume)
+                    solve_temperature, surface, surface_supremum, volume)
 from pinfin.randoms import random_pair
 
 from conftest import A0, LENGTH, constant_fin
+from linearized import solve_linearized
 
 
 # ---------------------------------------------------------------- volume

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from pinfin import (ConfigError, Grid, PhysicalParams, RadiusProfile,
-                    SurfaceMeasure, solve_linearized, solve_temperature)
+                    SurfaceMeasure, solve_temperature)
+
+from linearized import solve_linearized
 
 A0, LENGTH = 0.05, 1.0
 

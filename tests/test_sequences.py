@@ -3,12 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from pinfin import (ConfigError, Grid, PhysicalParams, SurfaceMeasure,
-                    bang_density, heat_flux_relaxed, oscillating_profile,
+from pinfin import (ConfigError, Grid, NumericalError, PhysicalParams,
+                    RadiusProfile, SurfaceMeasure, bang_density,
+                    heat_flux_relaxed, oscillating_profile,
                     oscillating_profile_volume, oscillating_radius,
-                    oscillation_peak, solve_temperature, step_density, surface,
-                    switch_point, volume)
-from pinfin.sequences import volume_constrained_design
+                    oscillation_peak, sequences, solve_temperature,
+                    step_density, surface, surface_supremum, switch_point,
+                    volume)
+from pinfin.sequences import _first_feasible, volume_constrained_design
 
 A0, ELL = 0.05, 1.0
 S = 1.5 * A0 * ELL
@@ -209,3 +211,126 @@ def test_volume_constrained_profile_rejects_bad_budgets():
         volume_constrained_design(5, 1.2 ** 2 * 0.2 * 0.5, 1.2, grid, params)
     with pytest.raises(ConfigError):
         volume_constrained_design(1, 2 * 1.2 ** 2 * 0.2, 1.2, grid, params)
+
+
+# ------------------------------------------------- volume search vs reference
+
+def doubling_bisection(feasible, m_lo):
+    """The volume design's former search: double m, then bisect."""
+    m = m_lo
+    while not feasible(m):
+        m *= 2
+    lo, hi = max(m // 2, m_lo - 1), m
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def reference_volume_design(n, V0, a0, grid, params):
+    """m, flux and solve count of the former volume-then-flux search."""
+    L = grid.length
+    slope = params.k * np.pi * params.constant_beta() * params.delta_T
+    flux_floor = surface_supremum(a0, L, n, params) - slope / n
+    fluxes = {}
+
+    def feasible(m):
+        if oscillating_profile_volume(n, m, a0, L) > V0 - 1.0 / n:
+            return False
+        prof = RadiusProfile(oscillating_radius(grid.nodes, n, m, a0, L), a0, L)
+        fluxes[m] = heat_flux_relaxed(
+            solve_temperature(prof, step_density(n, m, a0, grid), params, grid))
+        return fluxes[m] >= flux_floor
+
+    m = doubling_bisection(feasible, max(int(np.floor(1.0 / L)) + 1, 2))
+    return m, fluxes[m], len(fluxes)
+
+
+@pytest.fixture
+def count_solves(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_temperature(*args)
+
+    monkeypatch.setattr(sequences, "solve_temperature", counted)
+    return calls
+
+
+# h, V0 in units of the floor volume a0^2 L, surface target n: the volume
+# binds at V0 = 1.5 with n = 8 or 10; at h = 1, n = 8 the doubling's m = 24
+# lands next to the answer 22
+@pytest.mark.parametrize("n_cells", [8192, 32768])
+@pytest.mark.parametrize("h, V0, n", [
+    (0.25, 2.0, 5), (0.25, 2.0, 10), (0.25, 2.0, 15), (0.25, 4.0, 15),
+    (0.25, 1.5, 8), (0.25, 1.5, 10), (0.25, 1.5, 15),
+    (1.0, 1.5, 8), (1.0, 2.0, 10), (4.0, 2.0, 5)])
+def test_volume_search_matches_doubling_bisection(n_cells, h, V0, n, count_solves):
+    a0, ell = 1.2, 0.2
+    params = PhysicalParams(k=10.0, h=h, h_r=0.0, T_d=10.0, T_inf=0.0)
+    grid = Grid(ell, n_cells)
+    V0 *= a0 * a0 * ell
+    m_ref, F_ref, solves_ref = reference_volume_design(n, V0, a0, grid, params)
+    _, m, F = volume_constrained_design(n, V0, a0, grid, params)
+    assert (m, F) == (m_ref, F_ref)
+    assert len(count_solves) <= solves_ref
+
+
+def test_volume_item_geometry_needs_at_most_nine_solves(count_solves):
+    # check_volume_unbounded's targets; the former search made 1 + 5 + 10
+    a0, ell = 1.2, 0.2
+    params = PhysicalParams(k=10.0, h=0.25, h_r=0.0, T_d=10.0, T_inf=0.0)
+    grid = Grid(ell, 32768)
+    V0 = 2 * a0 * a0 * ell
+    for n in (5, 10, 20):
+        _, m, F = volume_constrained_design(n, V0, a0, grid, params)
+        assert (m, F) == reference_volume_design(n, V0, a0, grid, params)[:2]
+    assert len(count_solves) <= 9
+
+
+def test_volume_search_raises_only_when_its_last_doubling_fails(monkeypatch):
+    # m_lo = 6 and the answer is m = 35: the search reaches it while
+    # 6 * 2^k = 48 <= M_MAX, as the doubling did, and raises below that
+    a0, ell = 1.2, 0.2
+    params = PhysicalParams(k=10.0, h=0.25, h_r=0.0, T_d=10.0, T_inf=0.0)
+    grid = Grid(ell, 8192)
+    V0 = 2 * a0 * a0 * ell
+    monkeypatch.setattr(sequences, "M_MAX", 48)
+    assert volume_constrained_design(15, V0, a0, grid, params)[1] == 35
+    monkeypatch.setattr(sequences, "M_MAX", 47)
+    with pytest.raises(NumericalError):
+        volume_constrained_design(15, V0, a0, grid, params)
+
+
+def sharp_step(root):
+    return lambda m: 1.0 if m < root else -1.0
+
+
+def flat_tail(root):
+    # steep at small m, then a long tail within 1e-6 of zero
+    return lambda m: 10.0 * np.exp(-m / 4.0) + 1e-6 * (root - m)
+
+
+@pytest.mark.parametrize("shape", [sharp_step, flat_tail])
+def test_first_feasible_against_brute_force(shape):
+    m_lo, m_top = 6, 6 << 10
+    for root in [*range(2, 3000, 17), m_top + 1]:
+        s = shape(root)
+        probes = []
+
+        def shortfall(m):
+            probes.append(m)
+            return s(m)
+
+        brute = next((m for m in range(m_lo, m_top + 1) if s(m) <= 0.0), None)
+        assert _first_feasible(shortfall, m_lo - 1, m_lo, m_top) == brute
+        if brute is None:
+            assert probes[-1] == m_top
+            continue
+        bisection = []
+        doubling_bisection(lambda m: bisection.append(m) or s(m) <= 0.0, m_lo)
+        assert len(probes) <= 2 * len(bisection)
