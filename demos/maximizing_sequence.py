@@ -7,9 +7,9 @@ With a volume budget the flux is unbounded altogether: the same oscillating
 designs carry an arbitrary amount of surface at negligible volume cost.
 """
 
-from pinfin import (Grid, PhysicalParams, RadiusProfile, heat_flux_relaxed,
-                    oscillation_peak, oscillating_radius, solve_temperature,
-                    step_density, surface_supremum, volume)
+from pinfin import (Grid, PhysicalParams, heat_flux_relaxed, oscillating_profile,
+                    oscillation_peak, solve_temperature, step_density,
+                    surface_supremum, volume)
 from pinfin.sequences import volume_constrained_design
 
 a0, length = 0.2, 1.0
@@ -22,8 +22,7 @@ print(f"surface budget {S0:g}; closed-form flux supremum {sup:.6f} W")
 print("\n== oscillating designs approach the supremum ==")
 print("   m   peak excursion   flux [W]      gap to supremum")
 for m in (8, 16, 32, 64, 128):
-    a = RadiusProfile(oscillating_radius(grid.nodes, S0, m, a0, length),
-                      a0, length)
+    a = oscillating_profile(S0, m, a0, grid)
     b = step_density(S0, m, a0, grid)       # exact lateral density
     T = solve_temperature(a, b, params, grid)
     F = heat_flux_relaxed(T)

@@ -237,8 +237,7 @@ class ExperimentConfig:
         if S is None:
             raise ConfigError("profile: need S_mm2 or S_times_a0_length")
         m = _integer(_require(args, "m", "profile"), "profile.m")
-        profile = oscillating_profile(S, m, self.a0, grid, check_resolution=False)
-        return profile, step_density(S, m, self.a0, grid)
+        return oscillating_profile(S, m, self.a0, grid), step_density(S, m, self.a0, grid)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -31,9 +31,8 @@ from .physics import PhysicalParams
 from .profiles import RadiusProfile, SurfaceMeasure, excess_surface
 from .solver import solve_temperature
 
-MIN_CELLS_PER_HALF_PERIOD = 8
-CELLS_PER_OSCILLATION = 16   # of a loaded run, in radius_from_density
-M_MAX = 1 << 20              # largest oscillation count volume designs try
+MIN_CELLS_PER_HALF_PERIOD = 8   # of a volume design's oscillations
+CELLS_PER_OSCILLATION = 16      # of a loaded run, in radius_from_density
 
 
 @dataclass(frozen=True)
@@ -63,8 +62,11 @@ def _check_step_args(S: float, m: int, a0: float, length: float) -> float:
     return excess
 
 
-def _overlap(lo: np.ndarray, hi: np.ndarray, a: float, b: float) -> np.ndarray:
-    return np.clip(np.minimum(hi, b) - np.maximum(lo, a), 0.0, None)
+def _two_level(a0: float, height: float, x_end: float, grid: Grid) -> SurfaceMeasure:
+    """Cell averages of the density a0 + height on [0, x_end], a0 beyond."""
+    x = grid.nodes
+    loaded = np.clip(np.minimum(x[1:], x_end) - x[:-1], 0.0, None)
+    return SurfaceMeasure(a0 + height * loaded / grid.dx, a0, grid.length)
 
 
 def step_density(S: float, m: int, a0: float, grid: Grid) -> SurfaceMeasure:
@@ -73,11 +75,7 @@ def step_density(S: float, m: int, a0: float, grid: Grid) -> SurfaceMeasure:
     Cell values are exact averages, so the discrete total is S exactly for
     every grid.  Degenerate budget S = a0 L returns the constant floor.
     """
-    L = grid.length
-    height = _check_step_args(S, m, a0, L) * m
-    x = grid.nodes
-    dens = a0 + height * _overlap(x[:-1], x[1:], 0.0, 1.0 / m) / grid.dx
-    return SurfaceMeasure(dens, a0, L)
+    return _two_level(a0, _check_step_args(S, m, a0, grid.length) * m, 1.0 / m, grid)
 
 
 def _arc_offset(excess: float, m: int, a0: float) -> tuple[float, float]:
@@ -142,22 +140,12 @@ def oscillating_profile_volume(S: float, m: int, a0: float,
     return float(a0 * a0 * (length - 1.0 / m) + 2 * m * per_half_arc)
 
 
-def oscillating_profile(S: float, m: int, a0: float, grid: Grid,
-                        check_resolution: bool = True) -> RadiusProfile:
-    """Oscillating profile sampled analytically at the grid nodes.
+def oscillating_profile(S: float, m: int, a0: float, grid: Grid) -> RadiusProfile:
+    """Oscillating profile sampled exactly at the grid nodes, at any resolution.
 
-    With ``check_resolution`` the grid must carry at least
-    ``MIN_CELLS_PER_HALF_PERIOD`` cells per half oscillation, otherwise the
-    sampled slopes alias.  Callers that pair the profile with its exact step
-    density (which needs no resolution) may disable the check.
+    Its exact lateral density is ``step_density(S, m, a0, grid)``; slopes
+    taken from the samples alias where the grid does not resolve the arcs.
     """
-    if check_resolution and _check_step_args(S, m, a0, grid.length) > 0.0:
-        half = 0.5 / (m * m)
-        if half / grid.dx < MIN_CELLS_PER_HALF_PERIOD:
-            raise ConfigError(
-                f"grid too coarse for m={m}: {half / grid.dx:.2f} cells per "
-                f"half-period, need >= {MIN_CELLS_PER_HALF_PERIOD}"
-            )
     vals = oscillating_radius(grid.nodes, S, m, a0, grid.length)
     return RadiusProfile(vals, a0, grid.length)
 
@@ -179,11 +167,7 @@ def switch_point(M: float, S0: float, a0: float, length: float) -> float:
 
 def bang_density(M: float, S0: float, a0: float, grid: Grid) -> SurfaceMeasure:
     """Two-level density at the cap M up to the switch point, a0 beyond."""
-    L = grid.length
-    xM = switch_point(M, S0, a0, L)
-    x = grid.nodes
-    dens = a0 + (M - a0) * _overlap(x[:-1], x[1:], 0.0, xM) / grid.dx
-    return SurfaceMeasure(dens, a0, L)
+    return _two_level(a0, M - a0, switch_point(M, S0, a0, grid.length), grid)
 
 
 def _arc_branches(dens: np.ndarray, widths: np.ndarray,
@@ -329,11 +313,13 @@ def volume_constrained_design(
     Returns the design with the smallest oscillation count m such that its
     exact volume is at most ``V0 - 1/n`` (n = surface_target) and its flux is
     within ``k pi beta dT / n`` of the concentration limit; both conditions
-    are monotone in m.  Among the m up to the largest ``m_lo 2^k <= M_MAX``,
+    are monotone in m.  Among the m up to m_top, the largest the grid
+    resolves with ``MIN_CELLS_PER_HALF_PERIOD`` cells per half oscillation,
     ``_first_feasible`` finds the smallest m within the closed-form volume,
     with no solve, and from there the smallest whose flux shortfall
-    ``flux_floor - F(m)`` is not positive.  The profile's exact lateral
-    density is ``step_density(n, m, a0, grid)``; the flux used it.
+    ``flux_floor - F(m)`` is not positive; with none, the grid is too coarse
+    (``ConfigError``).  The design's exact lateral density is
+    ``step_density(n, m, a0, grid)``; the flux used it.
     """
     L = grid.length
     n = surface_target
@@ -353,21 +339,21 @@ def volume_constrained_design(
     fluxes = {}
 
     def shortfall(m):
-        prof = RadiusProfile(oscillating_radius(grid.nodes, n, m, a0, L), a0, L)
-        fluxes[m] = heat_flux_relaxed(
-            solve_temperature(prof, step_density(n, m, a0, grid), params, grid))
+        fluxes[m] = heat_flux_relaxed(solve_temperature(
+            oscillating_profile(n, m, a0, grid), step_density(n, m, a0, grid),
+            params, grid))
         return flux_floor - fluxes[m]
 
     m_lo = max(int(np.floor(1.0 / L)) + 1, 2)
-    m_top = m_lo << max((M_MAX // m_lo).bit_length() - 1, 0)
-    m = _first_feasible(lambda m: oscillating_profile_volume(n, m, a0, L) - vol_budget,
-                        m_lo - 1, m_lo, m_top)
+    m_top = int(np.sqrt(0.5 / (MIN_CELLS_PER_HALF_PERIOD * grid.dx)))
+    m = None if m_top < m_lo else _first_feasible(
+        lambda m: oscillating_profile_volume(n, m, a0, L) - vol_budget, m_lo - 1, m_lo, m_top)
     if m is not None:
         hi = m_lo   # the flux search grows along m_lo 4^k, from the volume's m on
         while hi < m:
             hi = min(4 * hi, m_top)
         m = _first_feasible(shortfall, m - 1, hi, m_top)
     if m is None:
-        raise NumericalError(
-            f"no oscillation count up to {M_MAX} meets the volume/flux targets")
+        raise ConfigError(f"grid too coarse: no m up to {m_top}, the most oscillations it "
+                          f"resolves, meets the volume/flux targets")
     return oscillating_profile(n, m, a0, grid), m, fluxes[m]

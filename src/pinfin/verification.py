@@ -28,7 +28,8 @@ from .physics import PhysicalParams
 from .profiles import (RadiusProfile, SurfaceMeasure, admissible_radius_bound,
                        excess_surface)
 from .randoms import random_pair, random_radius
-from .sequences import oscillating_radius, step_density, volume_constrained_design
+from .sequences import (oscillating_profile, oscillating_radius, step_density,
+                        volume_constrained_design)
 from .solver import closed_form_temperature, solve_temperature
 
 
@@ -130,8 +131,7 @@ def check_supremum_convergence() -> Item:
     sup = surface_supremum(a0, length, S0, params)
     gaps = []
     for m in (8, 16, 32, 64, 128):
-        a = RadiusProfile(oscillating_radius(grid.nodes, S0, m, a0, length),
-                          a0, length)
+        a = oscillating_profile(S0, m, a0, grid)
         b = step_density(S0, m, a0, grid)
         F = heat_flux_relaxed(solve_temperature(a, b, params, grid))
         gaps.append((sup - F) / sup)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from pinfin import Grid
+from pinfin import Grid, step_density
 from pinfin.cli import main
 from pinfin.config import load_config
 from pinfin.errors import ConfigError
@@ -281,6 +281,18 @@ def test_sequence_emits_profiles(tmp_path):
     assert main(["sequence", "--config", str(p2), "--out", str(out2)]) == 0
     dens = read_table(out2 / "bang_density.csv")["b_m"]
     assert dens.max() == pytest.approx(25e-3, rel=1e-12)
+
+    # m = 64 on 256 cells leaves 0.3 cells per half-period: the sampled radius
+    # is undersampled, its density is still the exact step density
+    p3 = write_cfg(tmp_path,
+                   profile={"kind": "oscillating", "S_times_a0_length": 2.0,
+                            "m": 64},
+                   numerics={"n_cells": 256})
+    out3 = tmp_path / "seq3"
+    assert main(["sequence", "--config", str(p3), "--out", str(out3)]) == 0
+    cfg = load_config(p3)
+    exact = step_density(2.0 * cfg.a0 * cfg.length, 64, cfg.a0, cfg.grid())
+    assert np.array_equal(read_table(out3 / "profile.csv")["b_m"], exact.density)
 
 
 # ------------------------------------------------------------------ errors

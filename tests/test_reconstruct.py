@@ -180,7 +180,7 @@ def test_reconstruction_matches_oscillating_profile_on_step_densities(
     S = A0 * ELL + A0 * (level - 1.0) / m
     b = step_density(S, m, A0, grid)
     rec = reconstruct_radius(b, [OscillationSpec(0.0, 1.0 / m, m)], A0, grid)
-    ref = oscillating_profile(S, m, A0, grid, check_resolution=False)
+    ref = oscillating_profile(S, m, A0, grid)
     assert np.max(np.abs(rec.values - ref.values) / ref.values) <= 1e-12
 
 

@@ -3,13 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from pinfin import (ConfigError, Grid, NumericalError, PhysicalParams,
-                    RadiusProfile, SurfaceMeasure, bang_density,
-                    heat_flux_relaxed, oscillating_profile,
-                    oscillating_profile_volume, oscillating_radius,
-                    oscillation_peak, sequences, solve_temperature,
-                    step_density, surface, surface_supremum, switch_point,
-                    volume)
+from pinfin import (ConfigError, Grid, PhysicalParams, RadiusProfile,
+                    SurfaceMeasure, bang_density, heat_flux_relaxed,
+                    oscillating_profile, oscillating_profile_volume,
+                    oscillating_radius, oscillation_peak, sequences,
+                    solve_temperature, step_density, surface,
+                    surface_supremum, switch_point, volume)
 from pinfin.sequences import _first_feasible, volume_constrained_design
 
 A0, ELL = 0.05, 1.0
@@ -141,12 +140,12 @@ def test_measure_pairing_converges_to_density_plus_inlet_atom():
     assert 2.5 <= errs[1] / errs[2] <= 6.5
 
 
-def test_resolution_guard():
+def test_oscillating_profile_samples_undersampled_grids():
+    # m = 64 on 256 cells leaves 0.03 cells per half-period; the samples are
+    # still the exact radius at the nodes
     grid = Grid(ELL, 256)
-    with pytest.raises(ConfigError):
-        oscillating_profile(S, 64, A0, grid)
-    prof = oscillating_profile(S, 64, A0, grid, check_resolution=False)
-    assert prof.values.size == grid.n_cells + 1
+    prof = oscillating_profile(S, 64, A0, grid)
+    assert np.array_equal(prof.values, oscillating_radius(grid.nodes, S, 64, A0, ELL))
 
 
 # ------------------------------------------------------------ bang density
@@ -249,13 +248,22 @@ def reference_volume_design(n, V0, a0, grid, params):
     return m, fluxes[m], len(fluxes)
 
 
+def most_resolved(grid):
+    """Largest m whose half-period 1/(2 m^2) spans MIN_CELLS_PER_HALF_PERIOD cells."""
+    return max(m for m in range(1, 10_000)
+               if 0.5 / (m * m) >= sequences.MIN_CELLS_PER_HALF_PERIOD * grid.dx)
+
+
 @pytest.fixture
 def count_solves(monkeypatch):
+    """The oscillation count m of every flux solve the volume search makes."""
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return solve_temperature(*args)
+    def counted(a, b, params, grid):
+        # a step density carries (S - a0 L) m above a0 on its first cell
+        excess = b.total(grid) - b.floor * grid.length
+        calls.append(round((b.density[0] - b.floor) / excess))
+        return solve_temperature(a, b, params, grid)
 
     monkeypatch.setattr(sequences, "solve_temperature", counted)
     return calls
@@ -278,6 +286,7 @@ def test_volume_search_matches_doubling_bisection(n_cells, h, V0, n, count_solve
     _, m, F = volume_constrained_design(n, V0, a0, grid, params)
     assert (m, F) == (m_ref, F_ref)
     assert len(count_solves) <= solves_ref
+    assert max(count_solves) <= most_resolved(grid)
 
 
 def test_volume_item_geometry_needs_at_most_nine_solves(count_solves):
@@ -289,21 +298,28 @@ def test_volume_item_geometry_needs_at_most_nine_solves(count_solves):
     for n in (5, 10, 20):
         _, m, F = volume_constrained_design(n, V0, a0, grid, params)
         assert (m, F) == reference_volume_design(n, V0, a0, grid, params)[:2]
-    assert len(count_solves) <= 9
+    # n = 5, 10 and 20 in turn; 32768 cells resolve m <= 101
+    assert count_solves == [6, 6, 24, 8, 9, 24, 96, 86, 87]
 
 
-def test_volume_search_raises_only_when_its_last_doubling_fails(monkeypatch):
-    # m_lo = 6 and the answer is m = 35: the search reaches it while
-    # 6 * 2^k = 48 <= M_MAX, as the doubling did, and raises below that
+def test_volume_search_refuses_counts_the_grid_cannot_resolve(count_solves):
+    # the verify item's physics on 8192 cells, which resolve m <= 50: n = 15
+    # needs m = 35, n = 20 needs m = 87; Grid(0.2, 64) resolves m <= 4, below
+    # the smallest count m = 6 that fits on the fin
     a0, ell = 1.2, 0.2
     params = PhysicalParams(k=10.0, h=0.25, h_r=0.0, T_d=10.0, T_inf=0.0)
     grid = Grid(ell, 8192)
     V0 = 2 * a0 * a0 * ell
-    monkeypatch.setattr(sequences, "M_MAX", 48)
+    assert most_resolved(grid) == 50
     assert volume_constrained_design(15, V0, a0, grid, params)[1] == 35
-    monkeypatch.setattr(sequences, "M_MAX", 47)
-    with pytest.raises(NumericalError):
-        volume_constrained_design(15, V0, a0, grid, params)
+    count_solves.clear()
+    with pytest.raises(ConfigError, match=r"grid too coarse: no m up to 50\b"):
+        volume_constrained_design(20, V0, a0, grid, params)
+    assert len(count_solves) <= 2 and max(count_solves) <= 50
+    count_solves.clear()
+    with pytest.raises(ConfigError, match="grid too coarse"):
+        volume_constrained_design(5, V0, a0, Grid(ell, 64), params)
+    assert count_solves == []
 
 
 def sharp_step(root):
