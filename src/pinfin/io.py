@@ -20,6 +20,19 @@ def format_column(values: np.ndarray) -> list[str]:
     return ((_FMT + "\n") * values.size % tuple(values.tolist())).split("\n")[:-1]
 
 
+def _run_text(col) -> np.ndarray | None:
+    """A float column's cells as text, formatted once per run of bit-identical
+    values, when at most half the cells start a run; otherwise ``None``.  Runs
+    are found on the int64 bits, so 0.0 and -0.0 stay apart and NaN runs hold."""
+    values = np.asarray(col, dtype=float)
+    bits = values.view(np.int64)
+    heads = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
+    if 2 * heads.size > values.size:
+        return None
+    text = np.array(format_column(values[heads]), dtype=object)
+    return np.repeat(text, np.diff(np.append(heads, values.size)))
+
+
 def write_table(path: Path, header: list[str], columns: list[np.ndarray | list[str]],
                 comment: str | None = None, fmt: str = "csv") -> None:
     """Write named columns, each floats or ``format_column`` text, as CSV (or a
@@ -40,13 +53,15 @@ def write_table(path: Path, header: list[str], columns: list[np.ndarray | list[s
     lines.append(",".join(header))
     # shorter columns are padded with NaN, which both formats print as "nan";
     # one format over the whole table is faster, and holds less memory, than
-    # formatting row by row
+    # formatting row by row; a column of few runs (a two-level density, a
+    # radius at a0 past its switch) prints as text formatted once per run
     table = np.full((n, len(columns)), np.nan, dtype=object)
+    fmts = []
     for j, col in enumerate(columns):
-        table[:len(col), j] = col
-    row_fmt = ",".join("%s" if len(c) and isinstance(c[0], str) else _FMT
-                       for c in columns) + "\n"
-    body = (row_fmt * n) % tuple(table.ravel().tolist())
+        text = col if len(col) and isinstance(col[0], str) else _run_text(col)
+        table[:len(col), j] = col if text is None else text
+        fmts.append(_FMT if text is None else "%s")
+    body = ((",".join(fmts) + "\n") * n) % tuple(table.ravel().tolist())
     path.write_text("\n".join(lines) + "\n" + body)
 
 

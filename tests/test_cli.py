@@ -139,6 +139,24 @@ def test_write_table_bytes(tmp_path):
                                  b"-0,-6.0221407599999999e+23\ninf,nan\n"
                                  b"0.33333333333333331,nan\n")
     assert np.array_equal(read_table(path)["x"], [0.1, -0.0, np.inf, 1.0 / 3.0])
+    # columns of few runs of bit-identical values print the same bytes as
+    # every cell formatted on its own; 0.0 and -0.0 are different runs
+    nan = np.nan
+    cols = {
+        "x": format_column(np.linspace(0.0, 0.1, 8)),
+        "two_level": np.array([1 / 3] * 5 + [0.1] * 3),
+        "a0_tail": np.array([1.2e-3, 1.1e-3] + [1e-3] * 6),
+        "signed_zero": np.array([0.0, 0.0, -0.0, -0.0, 0.0, 0.0, 0.0, -0.0]),
+        "nan_run": np.array([nan] * 4 + [1.5] * 4),
+        "single": np.full(8, 7.0),
+        "short": np.array([2.5, 2.5, 2.5]),
+        "distinct": np.arange(8) / 7.0,
+    }
+    write_table(path, list(cols), list(cols.values()))
+    padded = [list(c) + [nan] * (8 - len(c)) for c in cols.values()]
+    rows = [",".join(c[i] if isinstance(c[i], str) else "%.17g" % c[i] for c in padded)
+            for i in range(8)]
+    assert path.read_text() == "\n".join([",".join(cols)] + rows) + "\n"
 
 
 def test_write_table_takes_preformatted_columns(tmp_path):
@@ -471,6 +489,31 @@ def test_verify_exit_codes(tmp_path):
     failed = {i["name"] for i in rep2["items"]
               if not i["passed"] and not i["skipped"]}
     assert "closed_form_agreement" in failed
+
+
+def test_verify_on_two_or_three_cells_reports_failures(tmp_path, capsys):
+    # the gradient item probes min(4, n_cells) cells, so a grid too small for
+    # four probes fails items instead of raising
+    for n in ("2", "3"):
+        out = tmp_path / n
+        assert main(["verify", "--config", str(CONFIGS / "verify.yaml"),
+                     "--out", str(out), "--n-cells", n]) == 2
+        assert "[FAIL]" in capsys.readouterr().out
+        assert not json.loads((out / "verify_report.json").read_text())["all_passed"]
+
+
+def test_verify_refuses_a_zero_temperature_drop(tmp_path, capsys):
+    # the other commands run with T_d == T_inf, but every verify item measures
+    # against the drop, so verify stops before any item runs
+    p = write_cfg(tmp_path, physics={
+        "k": 10.0, "h": {"kind": "constant", "value": 10.0}, "h_r": "h(l)",
+        "T_d": 5.0, "T_inf": 5.0})
+    out = tmp_path / "v"
+    assert main(["verify", "--config", str(p), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: verify needs T_d > T_inf, got T_d = T_inf = 5\n"
+    assert not list(out.glob("*"))
 
 
 def test_verify_takes_the_cap_list_in_any_order(tmp_path, capsys):
