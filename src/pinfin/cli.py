@@ -12,7 +12,7 @@ sweep     : one optimization per cap in the configured M list (plus an
 verify    : run the verification suite and write verify_report.json.
 sequence  : emit oscillating / bang profiles without solving.
 
-Exit codes: 0 success, 1 configuration error, 2 verification failure,
+Exit codes: 0 success, 1 configuration or usage error, 2 verification failure,
 3 numerical failure.
 """
 
@@ -29,47 +29,49 @@ from .functionals import flux_report, surface_supremum
 from .io import format_column, write_json, write_table
 from .optimizer import (OptimResult, iter_sweep_M, nondecreasing, optimize,
                         verify_bang_structure)
-from .profiles import SurfaceMeasure, enforce_surface_bound
+from .profiles import enforce_surface_bound
 from .sequences import bang_density, switch_point
 from .solver import solve_temperature
 from .verification import default_config, run_verification
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # a usage error is a configuration error: exit code 1
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="pinfin",
-                                description="Axisymmetric fin model and shape optimizer")
+    p = _Parser(prog="pinfin", description="Axisymmetric fin model and shape optimizer")
     sub = p.add_subparsers(dest="command", required=True)
     for name in ("solve", "optimize", "sweep", "verify", "sequence"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", type=Path,
+        # a flag left out keeps the config's value
+        sp = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        sp.add_argument("--config", type=Path, default=None,
                         required=name not in ("verify",),
                         help="YAML experiment configuration")
         sp.add_argument("--out", type=Path, default=Path("out"),
                         help="output directory (created if missing)")
-        sp.add_argument("--n-cells", type=int, default=None,
+        sp.add_argument("--n-cells", type=int, dest="n_cells",
                         help="override numerics.n_cells")
-        sp.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="override output.format for tabular files")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized verification profiles")
+        if name == "verify":
+            sp.add_argument("--seed", type=int, help="seed of verify's random profiles")
+        else:
+            sp.add_argument("--format", choices=("csv", "json"), dest="out_format",
+                            help="override output.format for tabular files")
     return p
 
 
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else default_config()
-    overrides = {"n_cells": args.n_cells, "out_format": args.format, "seed": args.seed}
+    overrides = {k: v for k, v in vars(args).items() if k in ("n_cells", "out_format", "seed")}
     # replace() re-runs the config's own checks on the overridden values
-    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    return replace(cfg, **overrides)
 
 
 def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
     grid = cfg.grid()
     params = cfg.params()
-    if cfg.profile_kind == "oscillating":
-        a, b = cfg.oscillating_pair(grid)   # sampled radius, exact density
-    else:
-        a = cfg.radius_profile(grid)
-        b = SurfaceMeasure.from_radius(a, grid)
+    a, b = cfg.design(grid)
     if cfg.S0 is not None:
         enforce_surface_bound(a, cfg.S0)
     T = solve_temperature(a, b, params, grid)
@@ -169,7 +171,7 @@ def cmd_sequence(cfg: ExperimentConfig, out: Path) -> int:
     grid = cfg.grid()
     fmt = cfg.out_format
     if cfg.profile_kind == "oscillating":
-        a, b = cfg.oscillating_pair(grid)
+        a, b = cfg.design(grid)
         write_table(out / "profile.csv", ["x_m", "a_m", "b_m"],
                     [grid.nodes, a.values, b.density],
                     comment="oscillating profile with its exact step density",
@@ -200,8 +202,8 @@ def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         cfg = _load(args)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -18,12 +18,25 @@ from .errors import ConfigError
 from .grid import Grid
 from .optimizer import OptimConfig
 from .physics import H_FLOOR, PhysicalParams
-from .profiles import RadiusProfile
+from .profiles import RadiusProfile, SurfaceMeasure
 from .sequences import oscillating_profile, step_density
 
 MM = 1e-3
 MM2 = 1e-6
-SECTIONS = ("geometry", "physics", "constraint", "profile", "numerics", "output")
+CAPS = ("M_mm", "M_list_mm", "drop_cap")
+# every key a config may hold, by section and by kind of a section or of physics.h
+KEYS = {
+    "geometry": ("a0_mm", "length_mm"),
+    "physics": ("k", "h", "h_r", "T_d", "T_inf"),
+    "constraint": {"surface": ("S0_mm2", "S0_times_a0_length", *CAPS), "volume": CAPS},
+    "profile": {"constant": (), "cone": ("tip_mm",),
+                "oscillating": ("S_mm2", "S_times_a0_length", "m"),
+                "table": ("x_mm", "a_mm")},
+    "numerics": ("n_cells", "max_iters", "seed"),
+    "output": ("format",),
+    "physics.h": {"constant": ("value",), "affine": ("start", "end"),
+                  "step": ("low", "high", "x_step_mm", "width_mm"), "table": ("x_mm", "values")},
+}
 
 
 class _ConfigLoader(yaml.SafeLoader):
@@ -47,12 +60,25 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _keys(spec: dict, where: str, kind=None) -> dict:
+    """``spec``, once every key it holds is one that ``KEYS[where]`` lists for ``kind``."""
+    accepted = KEYS[where]
+    if isinstance(accepted, dict):
+        if not isinstance(kind, str) or kind not in accepted:
+            raise ConfigError(f"{where}.kind '{kind}' not one of {'|'.join(accepted)}")
+        accepted = ("kind", *accepted[kind])
+    unknown = [key for key in spec if key not in accepted]
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {unknown}; expected {', '.join(accepted)}")
+    return spec
+
+
 def _section(raw: dict, key: str, path: Path, required: bool = False) -> dict:
     """Top-level section ``key``, a mapping; an optional one may be absent or null."""
     sec = _require(raw, key, str(path)) if required or raw.get(key) is not None else {}
     if not isinstance(sec, dict):
         raise ConfigError(f"{key}: expected a mapping, got {sec!r}")
-    return sec
+    return sec if isinstance(KEYS[key], dict) else _keys(sec, key)  # with kinds: checked by kind
 
 
 def _number(value, where: str, floor: float = -math.inf) -> float:
@@ -95,11 +121,13 @@ def _table(spec: dict, where: str, key: str,
 
 def _surface(spec: dict, where: str, stem: str, a0: float, length: float) -> float | None:
     """``<stem>_mm2`` or ``<stem>_times_a0_length`` in m^2; None if neither is given."""
-    if f"{stem}_mm2" in spec:
-        return _number_at(spec, f"{stem}_mm2", where) * MM2
-    if f"{stem}_times_a0_length" in spec:
-        return _number_at(spec, f"{stem}_times_a0_length", where) * a0 * length
-    return None
+    mm2, times = (_number_at(spec, key, where) if key in spec else None
+                  for key in (f"{stem}_mm2", f"{stem}_times_a0_length"))
+    if mm2 is not None and times is not None:
+        raise ConfigError(f"{where}: give {stem}_mm2 or {stem}_times_a0_length, not both")
+    if mm2 is not None:
+        return mm2 * MM2
+    return None if times is None else times * a0 * length
 
 
 class HProfile:
@@ -110,9 +138,10 @@ class HProfile:
             spec = {"kind": "constant", "value": spec}
         if not isinstance(spec, dict):
             raise ConfigError(f"physics.h: expected number or mapping, got {spec!r}")
-        self.kind = kind = _require(spec, "kind", "physics.h")
-        self.length = length
         where = "physics.h"
+        self.kind = kind = _require(spec, "kind", where)
+        _keys(spec, where, kind)
+        self.length = length
         # h(x) stays between the levels it is given, so each is held to the floor
         if kind == "constant":
             self.value = _number_at(spec, "value", where, H_FLOOR)
@@ -127,11 +156,8 @@ class HProfile:
             if not (0.0 < self.x_step < length and self.width > 0.0):
                 raise ConfigError("physics.h: x_step_mm must lie inside the fin "
                                   "and width_mm be positive")
-        elif kind == "table":
-            self.xs, self.vs = _table(spec, where, "values", H_FLOOR)
         else:
-            raise ConfigError(f"physics.h.kind '{kind}' not one of "
-                              "constant|affine|step|table")
+            self.xs, self.vs = _table(spec, where, "values", H_FLOOR)
 
     @property
     def is_constant(self) -> bool:
@@ -174,13 +200,18 @@ class ExperimentConfig:
             raise ConfigError(f"numerics.seed must be >= 0, got {self.seed}")
         if self.max_iters < 1:
             raise ConfigError(f"numerics.max_iters must be >= 1, got {self.max_iters}")
+        if not isinstance(self.drop_cap, bool):
+            raise ConfigError("constraint.drop_cap: expected true or false, "
+                              f"got {self.drop_cap!r}")
+        if self.out_format not in ("csv", "json"):
+            raise ConfigError(f"output.format '{self.out_format}' not one of csv|json")
         self.M_list = sorted(self.M_list)
         for M1, M2 in zip(self.M_list, self.M_list[1:]):
             if M1 == M2:
                 raise ConfigError(f"constraint.M_list_mm: cap {M1 * 1e3:g} mm is repeated")
         # build what the commands build, so a bad section fails here, before any work
         self.params()
-        self.radius_profile(self.grid())
+        self.design(self.grid())
 
     def cap(self) -> float | None:
         """The one cap of a single run: M_mm, else the largest of M_list_mm."""
@@ -206,38 +237,34 @@ class ExperimentConfig:
         return OptimConfig(a0=self.a0, S0=self.surface_budget(), M=M, grid=grid,
                            params=self.params(), max_iters=self.max_iters)
 
-    def radius_profile(self, grid: Grid) -> RadiusProfile:
-        kind, args = self.profile_kind, self.profile_args
-        if kind == "constant":
-            return RadiusProfile.constant(self.a0, grid)
+    def design(self, grid: Grid) -> tuple[RadiusProfile, SurfaceMeasure]:
+        """The configured radius on ``grid`` and its lateral surface density.
+
+        An oscillating radius is sampled exactly and takes its exact step
+        density, so it may be undersampled (nothing differentiates the
+        samples downstream); any other takes the density of its samples.
+        """
+        kind, args = self.profile_kind, _keys(self.profile_args, "profile", self.profile_kind)
+        if kind == "oscillating":
+            S = _surface(args, "profile", "S", self.a0, self.length)
+            if S is None:
+                raise ConfigError("profile: need S_mm2 or S_times_a0_length")
+            m = _integer(_require(args, "m", "profile"), "profile.m")
+            return oscillating_profile(S, m, self.a0, grid), step_density(S, m, self.a0, grid)
         if kind == "cone":
             tip = _number_at(args, "tip_mm", "profile") * MM
             if tip < self.a0:
                 raise ConfigError("profile.tip_mm must be at least a0")
-            return RadiusProfile.cone(self.a0, grid, (tip - self.a0) / self.length)
-        if kind == "oscillating":
-            return self.oscillating_pair(grid)[0]
-        if kind == "table":
+            a = RadiusProfile.cone(self.a0, grid, (tip - self.a0) / self.length)
+        elif kind == "table":
             xs, vs = _table(args, "profile", "a_mm")
             vs = vs * MM
             if np.any(vs < self.a0):
                 raise ConfigError("profile.a_mm must be at least a0 everywhere")
-            return RadiusProfile(np.interp(grid.nodes, xs, vs), self.a0, self.length)
-        raise ConfigError(f"profile.kind '{kind}' not one of constant|cone|oscillating|table")
-
-    def oscillating_pair(self, grid: Grid):
-        """Oscillating radius with its exact step density.
-
-        Node values are exact analytic samples and the density is exact per
-        cell, so undersampled oscillations are acceptable here (nothing
-        differentiates the samples downstream).
-        """
-        args = self.profile_args
-        S = _surface(args, "profile", "S", self.a0, self.length)
-        if S is None:
-            raise ConfigError("profile: need S_mm2 or S_times_a0_length")
-        m = _integer(_require(args, "m", "profile"), "profile.m")
-        return oscillating_profile(S, m, self.a0, grid), step_density(S, m, self.a0, grid)
+            a = RadiusProfile(np.interp(grid.nodes, xs, vs), self.a0, self.length)
+        else:
+            a = RadiusProfile.constant(self.a0, grid)
+        return a, SurfaceMeasure.from_radius(a, grid)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -250,10 +277,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"{path}: YAML parse error: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    unknown = [key for key in raw if key not in SECTIONS]
+    sections = [name for name in KEYS if "." not in name]
+    unknown = [key for key in raw if key not in sections]
     if unknown:
         raise ConfigError(f"{path}: unknown top-level key(s) {unknown}; "
-                          f"expected sections {', '.join(SECTIONS)}")
+                          f"expected sections {', '.join(sections)}")
 
     geo = _section(raw, "geometry", path, required=True)
     a0 = _number_at(geo, "a0_mm", "geometry") * MM
@@ -274,33 +302,22 @@ def load_config(path: str | Path) -> ExperimentConfig:
     T_d, T_inf = _number_at(phy, "T_d", "physics"), _number_at(phy, "T_inf", "physics")
 
     con = _section(raw, "constraint", path)
-    kind = con.get("kind", "surface")
-    if kind not in ("surface", "volume"):
-        raise ConfigError(f"constraint.kind '{kind}' not one of surface|volume")
-    # no command optimizes under a volume budget, so its keys are not read
-    S0 = _surface(con, "constraint", "S0", a0, length) if kind == "surface" else None
+    _keys(con, "constraint", con.get("kind", "surface"))
+    # a volume budget has no key: no command optimizes under one, so S0 stays None
+    S0 = _surface(con, "constraint", "S0", a0, length)
     M = _number_at(con, "M_mm", "constraint") * MM if "M_mm" in con else None
     M_list = [v * MM for v in _numbers(con.get("M_list_mm", []), "constraint.M_list_mm")]
-    drop_cap = con.get("drop_cap", False)
-    if not isinstance(drop_cap, bool):
-        raise ConfigError(f"constraint.drop_cap: expected true or false, got {drop_cap!r}")
 
-    prof = _section(raw, "profile", path)
-    profile_kind = prof.get("kind", "constant")
-    profile_args = {kk: vv for kk, vv in prof.items() if kk != "kind"}
-
-    num = _section(raw, "numerics", path)
-    n_cells = _integer(num.get("n_cells", 500), "numerics.n_cells")
-    max_iters = _integer(num.get("max_iters", 20000), "numerics.max_iters")
-    seed = _integer(num.get("seed", 0), "numerics.seed")
-
-    out_format = _section(raw, "output", path).get("format", "csv")
-    if out_format not in ("csv", "json"):
-        raise ConfigError(f"output.format '{out_format}' not one of csv|json")
+    # a key left out keeps its ExperimentConfig default
+    given = {key: _integer(value, f"numerics.{key}")
+             for key, value in _section(raw, "numerics", path).items()}
+    prof, out = _section(raw, "profile", path), _section(raw, "output", path)
+    for sec, key, name in ((con, "drop_cap", "drop_cap"), (prof, "kind", "profile_kind"),
+                           (out, "format", "out_format")):
+        if key in sec:
+            given[name] = sec[key]
 
     return ExperimentConfig(
-        a0=a0, length=length, k=k, h_profile=h_profile, h_r=h_r,
-        T_d=T_d, T_inf=T_inf, S0=S0, M=M, M_list=M_list, drop_cap=drop_cap,
-        profile_kind=profile_kind, profile_args=profile_args, n_cells=n_cells,
-        max_iters=max_iters, seed=seed, out_format=out_format,
-    )
+        a0=a0, length=length, k=k, h_profile=h_profile, h_r=h_r, T_d=T_d, T_inf=T_inf,
+        S0=S0, M=M, M_list=M_list,
+        profile_args={kk: vv for kk, vv in prof.items() if kk != "kind"}, **given)

@@ -58,11 +58,11 @@ def _skip(name: str, why: str) -> Item:
 
 
 def default_config() -> ExperimentConfig:
-    """Constant-convection reference configuration (surface budget 6 a0 L)."""
+    """Constant-convection reference configuration, the run of ``configs/verify.yaml``."""
     a0, length = 1e-3, 0.1
     return ExperimentConfig(
         a0=a0, length=length, k=10.0, h_profile=HProfile(10.0, length),
-        h_r=10.0, T_d=10.0, T_inf=0.0, S0=6 * a0 * length, M=50e-3,
+        h_r=10.0, T_d=10.0, T_inf=0.0, S0=6 * a0 * length, M=None,
         M_list=[6.25e-3, 12.5e-3, 25e-3, 50e-3],
         n_cells=4096,
     )

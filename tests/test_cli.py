@@ -1,7 +1,9 @@
 import json
+import re
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from pinfin.cli import main
 from pinfin.config import load_config
 from pinfin.errors import ConfigError
 from pinfin.io import format_column, write_table
-from pinfin.verification import check_concentration
+from pinfin.verification import check_concentration, default_config
 from table_io import read_table
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -121,7 +123,7 @@ def test_profile_roundtrip_is_bit_exact(tmp_path):
     assert main(["solve", "--config", str(p), "--out", str(out)]) == 0
     cfg = load_config(p)
     grid = cfg.grid()
-    original = cfg.radius_profile(grid)
+    original, _ = cfg.design(grid)
     back = read_table(out / "profile.csv")["a_m"]
     assert np.array_equal(back, original.values)
     from pinfin import RadiusProfile
@@ -353,7 +355,7 @@ def test_config_rejects_non_integral_and_non_boolean_values(tmp_path, section,
     sections[section][key] = value
     p = write_cfg(tmp_path, **{section: sections[section]})
     with pytest.raises(ConfigError, match=f"{section}.{key}"):
-        load_config(p).radius_profile(Grid(0.1, 64))
+        load_config(p).design(Grid(0.1, 64))
     assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
 
 
@@ -400,13 +402,28 @@ CONSTRAINT = {"kind": "surface", "S0_times_a0_length": 6.0, "M_mm": 25.0,
      "constraint.M_list_mm: cap 25 mm is repeated"),
     # a misspelled section would otherwise leave its defaults in force
     ("numeric", {"n_cells": 64}, "unknown top-level key(s) ['numeric']"),
+    # a key no command reads, or a value given twice, would otherwise be dropped
+    ("numerics", {"n_cell": 64}, "numerics: unknown key(s) ['n_cell']"),
+    ("physics", {"h": {"kind": "step", "low": 0.01, "high": 2.0, "x_step_mm": 50.0,
+                       "widht_mm": 10.0}}, "physics.h: unknown key(s) ['widht_mm']"),
+    ("physics", {"h": {"kind": "constant", "value": 10.0, "end": 5.0}},
+     "physics.h: unknown key(s) ['end']"),
+    ("constraint", {"S0_mm2": 600.0},
+     "constraint: give S0_mm2 or S0_times_a0_length, not both"),
+    ("constraint", {"kind": "volume"}, "constraint: unknown key(s) ['S0_times_a0_length']"),
+    ("constraint", {"V0_mm3": 5.0}, "constraint: unknown key(s) ['V0_mm3']"),
+    ("profile", {"kind": "cone", "tip_mm": 2.0, "m": 3}, "profile: unknown key(s) ['m']"),
+    ("profile", {"kind": "oscillating", "S_mm2": 200.0, "S_times_a0_length": 1.5, "m": 16},
+     "profile: give S_mm2 or S_times_a0_length, not both"),
 ], ids=["k_negative", "T_d_below_T_inf", "h_end_nan", "h_below_floor", "step_width_zero",
         "h_table_text", "h_table_scalars", "M_inf", "M_nan", "M_list_nan", "S0_nan",
         "profile_kind_bogus", "profile_x_decreasing", "profile_a_below_a0",
         "geometry_scalar", "physics_scalar", "constraint_list", "profile_scalar",
         "numerics_list", "output_text", "numerics_zero", "output_false",
         "profile_empty_list", "constraint_empty_text", "M_list_repeated",
-        "unknown_section"])
+        "unknown_section", "numerics_key_typo", "h_step_key_typo", "h_constant_with_end",
+        "both_S0_spellings", "volume_with_surface_budget", "V0_key", "cone_with_m",
+        "both_S_spellings"])
 def test_malformed_config_stops_every_command_at_load(tmp_path, capsys, section, spec,
                                                       message):
     # a bad section stops every command at load, including commands that never read it
@@ -427,6 +444,46 @@ def test_malformed_config_stops_every_command_at_load(tmp_path, capsys, section,
         assert err.startswith("config error: ") and len(err.splitlines()) == 1, err
         assert message in err, err
         assert not out.exists() or not list(out.iterdir()), command
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--config", "CFG", "--seed", "1"], "pinfin: unrecognized arguments: --seed 1"),
+    (["verify", "--config", "CFG", "--format", "json"],
+     "pinfin: unrecognized arguments: --format json"),
+    (["solve"], "pinfin solve: the following arguments are required: --config"),
+], ids=["sweep_seed", "verify_format", "solve_without_config"])
+def test_usage_errors_are_config_errors(tmp_path, capsys, argv, message):
+    # exit code 2 means a failed verification, so a flag a command does not
+    # take, or a missing one, is a configuration error like a bad config key
+    out = tmp_path / "o"
+    argv = [str(write_cfg(tmp_path)) if arg == "CFG" else arg for arg in argv]
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def assert_same_run(cfg, other):
+    for f in fields(cfg):
+        mine, theirs = getattr(cfg, f.name), getattr(other, f.name)
+        if f.name == "h_profile":
+            mine, theirs = vars(mine), vars(theirs)
+        assert mine == theirs, f.name
+    assert cfg.params() == other.params()
+
+
+def test_readme_config_example_is_constant_h(tmp_path):
+    readme = (CONFIGS.parent / "README.md").read_text()
+    example = re.search(r"## Configuration.*?```yaml\n(.*?)```", readme, re.S).group(1)
+    p = tmp_path / "readme.yaml"
+    p.write_text(example)
+    assert_same_run(load_config(p), load_config(CONFIGS / "constant_h.yaml"))
+
+
+def test_verify_default_is_verify_yaml():
+    # `pinfin verify` without a config runs configs/verify.yaml, field for field
+    assert_same_run(default_config(), load_config(CONFIGS / "verify.yaml"))
 
 
 def test_config_accepts_integral_values(tmp_path):
