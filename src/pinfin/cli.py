@@ -105,6 +105,7 @@ def _write_optim(cfg: ExperimentConfig, res: OptimResult, out: Path,
     report = {
         "objective_W": res.objective,
         "converged": bool(res.converged),
+        "pg_residual": res.pg_residual,
         "stop_reason": res.stop_reason,
         "iterations": int(res.n_iterations),
         "budget_active": bool(res.budget_active),

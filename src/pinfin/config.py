@@ -23,12 +23,12 @@ from .sequences import oscillating_profile, step_density
 
 MM = 1e-3
 MM2 = 1e-6
-CAPS = ("M_mm", "M_list_mm", "drop_cap")
 # every key a config may hold, by section and by kind of a section or of physics.h
 KEYS = {
     "geometry": ("a0_mm", "length_mm"),
     "physics": ("k", "h", "h_r", "T_d", "T_inf"),
-    "constraint": {"surface": ("S0_mm2", "S0_times_a0_length", *CAPS), "volume": CAPS},
+    "constraint": {"surface": ("S0_mm2", "S0_times_a0_length", "M_mm", "M_list_mm", "drop_cap"),
+                   "volume": ()},
     "profile": {"constant": (), "cone": ("tip_mm",),
                 "oscillating": ("S_mm2", "S_times_a0_length", "m"),
                 "table": ("x_mm", "a_mm")},

@@ -264,27 +264,32 @@ def check_concentration(cfg: ExperimentConfig) -> Item:
         M = cfg.cap()
         if M is None:
             return _skip("concentration_behavior", "requires a cap M")
-        if kind == "step":
-            label, where, least = "step", "within +-5% of the step", 0.8
-            near = np.abs(xm - h.x_step) <= 0.05 * cfg.length
-        else:
-            label, where, least = "decreasing", "in the first 5% of the fin", 0.9
-            near = xm <= 0.05 * cfg.length
-        frac = optimize(cfg.optim_config(M, grid)).excess_fraction(near)
-        return Item("concentration_behavior", frac >= least, False, frac, least,
-                    f"{label} h: fraction of excess surface {where} at M={M:g}")
-    if kind == "affine" and h.end > h.start:
+    elif kind == "affine" and h.end > h.start:
         if not cfg.drop_cap:
             return _skip("concentration_behavior",
                          "increasing h check runs with the cap dropped")
-        res = optimize(cfg.optim_config(None, grid))
-        exc = res.b_opt.density - cfg.a0
+        M = None
+    else:
+        return _skip("concentration_behavior", f"no check defined for h kind '{kind}'")
+    res = optimize(cfg.optim_config(M, grid))
+    exc = res.b_opt.density - cfg.a0
+    if not np.any(exc > 0.0):   # S0 = a0 L, or an excess below a0's roundoff
+        return _skip("concentration_behavior", "the optimum has no excess surface")
+    if M is None:
         support = exc > 0.01 * exc.max()
         ratio = float(exc.max() / np.median(exc[support]))
         return Item("concentration_behavior", ratio <= 3.0, False, ratio, 3.0,
                     "increasing h, cap dropped: max excess density over its "
                     f"median on the support ({int(support.sum())} cells)")
-    return _skip("concentration_behavior", f"no check defined for h kind '{kind}'")
+    if kind == "step":
+        label, where, least = "step", "within +-5% of the step", 0.8
+        near = np.abs(xm - h.x_step) <= 0.05 * cfg.length
+    else:
+        label, where, least = "decreasing", "in the first 5% of the fin", 0.9
+        near = xm <= 0.05 * cfg.length
+    frac = res.excess_fraction(near)
+    return Item("concentration_behavior", frac >= least, False, frac, least,
+                f"{label} h: fraction of excess surface {where} at M={M:g}")
 
 
 def check_surface_bound(cfg: ExperimentConfig, seed: int) -> Item:
@@ -316,6 +321,8 @@ def check_generalized_supremum(cfg: ExperimentConfig) -> Item:
     if cfg.h_profile.is_constant:
         return _skip("generalized_supremum", "reduces to the constant-h formula")
     S0 = cfg.S0 or 6 * cfg.a0 * cfg.length
+    if excess_surface(S0, cfg.a0, cfg.length) == 0.0:
+        return _skip("generalized_supremum", "S0 = a0 L leaves no excess surface")
     params = cfg.params()
     grid = cfg.grid(min(cfg.n_cells, 8192))
     try:

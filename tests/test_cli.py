@@ -248,8 +248,8 @@ def test_optimize_and_sweep_outputs(tmp_path):
     assert rep["cells_between_bounds"] <= 1
     assert rep["switch_error_cells"] <= 1.0
     assert rep["objective_relative_gap"] <= 1e-3
-    assert rep["converged"]
-    assert rep["stop_reason"] in {"line_search", "move_tol", "stall", "max_iters"}
+    assert rep["converged"] and rep["pg_residual"] <= 1e-9
+    assert rep["stop_reason"] in {"kkt", "line_search", "max_iters"}
     for name in ("b_opt.csv", "a_opt.csv", "T_opt.csv", "objective_trace.csv"):
         assert (out / name).exists()
     trace = read_table(out / "objective_trace.csv")["objective_W"]
@@ -410,7 +410,8 @@ CONSTRAINT = {"kind": "surface", "S0_times_a0_length": 6.0, "M_mm": 25.0,
      "physics.h: unknown key(s) ['end']"),
     ("constraint", {"S0_mm2": 600.0},
      "constraint: give S0_mm2 or S0_times_a0_length, not both"),
-    ("constraint", {"kind": "volume"}, "constraint: unknown key(s) ['S0_times_a0_length']"),
+    ("constraint", {"kind": "volume"},
+     "constraint: unknown key(s) ['M_list_mm', 'M_mm', 'S0_times_a0_length']"),
     ("constraint", {"V0_mm3": 5.0}, "constraint: unknown key(s) ['V0_mm3']"),
     ("profile", {"kind": "cone", "tip_mm": 2.0, "m": 3}, "profile: unknown key(s) ['m']"),
     ("profile", {"kind": "oscillating", "S_mm2": 200.0, "S_times_a0_length": 1.5, "m": 16},
@@ -433,7 +434,18 @@ def test_malformed_config_stops_every_command_at_load(tmp_path, capsys, section,
         sections.setdefault(section, {}).update(spec)
     else:                       # the whole section is not a mapping
         sections[section] = spec
-    p = write_cfg(tmp_path, **sections)
+    assert_every_command_refuses(tmp_path, capsys, write_cfg(tmp_path, **sections), message)
+
+
+@pytest.mark.parametrize("cap", [{"M_mm": 25.0}, {"M_list_mm": [12.5, 25.0]},
+                                 {"drop_cap": True}], ids=["M", "M_list", "drop_cap"])
+def test_volume_budget_takes_no_caps(tmp_path, capsys, cap):
+    # no command reads a cap under a volume budget, so one given there is an error
+    p = write_cfg(tmp_path, constraint={"kind": "volume", **cap})
+    assert_every_command_refuses(tmp_path, capsys, p, f"constraint: unknown key(s) {list(cap)}")
+
+
+def assert_every_command_refuses(tmp_path, capsys, p, message):
     for command in ("solve", "optimize", "sweep", "sequence", "verify"):
         out = tmp_path / command
         with warnings.catch_warnings():
@@ -571,6 +583,22 @@ def test_verify_refuses_a_zero_temperature_drop(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "config error: verify needs T_d > T_inf, got T_d = T_inf = 5\n"
     assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("name", ["step_h", "decreasing_h", "increasing_h"])
+def test_verify_skips_the_excess_items_on_a_floor_budget(tmp_path, capsys, name):
+    # S0 = a0 L leaves no surface to concentrate and none to add to the flat design
+    raw = yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())
+    raw["constraint"]["S0_times_a0_length"] = 1.0
+    p = tmp_path / "floor.yaml"
+    p.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "v"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--config", str(p), "--out", str(out)]) == 0
+    items = {i["name"]: i for i in json.loads((out / "verify_report.json").read_text())["items"]}
+    assert items["concentration_behavior"]["skipped"]
+    assert items["generalized_supremum"]["skipped"]
 
 
 def test_verify_takes_the_cap_list_in_any_order(tmp_path, capsys):

@@ -1,7 +1,9 @@
+import functools
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import minimize
@@ -196,6 +198,72 @@ def test_nonmonotone_search_converges_on_step_convection():
                                params=cfg.params(), max_iters=cfg.max_iters))
     assert res.converged, (res.stop_reason, res.pg_residual)
     assert_best_objective_returned(res)
+
+
+def uncapped(path):
+    cfg = load_config(path)
+    return optimize(cfg.optim_config(None, cfg.grid()))
+
+
+shipped_uncapped = functools.cache(lambda name: uncapped(CONFIGS / name))
+
+
+def test_step_convection_uncapped_stops_on_its_certificate():
+    # its objective stops rising before iteration 100 and then alternates by
+    # 8e-15 relative; run to 20000 iterations, it ends on this objective
+    res = shipped_uncapped("step_h.yaml")
+    assert res.stop_reason == "kkt" and res.n_iterations <= 50
+    assert res.converged and res.pg_residual <= res.config.pg_tol
+    assert res.objective == pytest.approx(0.0013976394756266954, rel=1e-12, abs=0.0)
+
+
+def scaled_yaml(name, scaling, j):
+    """Shipped config ``name`` under one of the model's exact scalings by 2**j."""
+    raw = yaml.safe_load((CONFIGS / name).read_text())
+    geo, phy, con = raw["geometry"], raw["physics"], raw["constraint"]
+    f = 2.0 ** j
+    h = phy["h"]
+    # h_r follows h through the h(l) rule, and a table h would need its values scaled
+    assert isinstance(phy["h_r"], str) and "values" not in h
+    if scaling == "shift":        # T_inf and T_d together: the drop is unchanged
+        phy["T_inf"] += f
+        phy["T_d"] += f
+    elif scaling == "drop":       # T_d - T_inf
+        phy["T_d"] = phy["T_inf"] + f * (phy["T_d"] - phy["T_inf"])
+    else:
+        # k, h and h_r by 2**j; or lengths by 2**j, with h and h_r by 2**-j
+        lengths = f if scaling == "lengths" else 1.0
+        if scaling == "conductances":
+            phy["k"] *= f
+        for key in ("value", "start", "end", "low", "high"):
+            if key in h:
+                h[key] *= f / lengths ** 2
+        for sec, keys in ((geo, ("a0_mm", "length_mm")), (h, ("x_step_mm", "width_mm")),
+                          (con, ("M_mm",))):
+            for key in keys:
+                if key in sec:
+                    sec[key] *= lengths
+        con["M_list_mm"] = [M * lengths for M in con.get("M_list_mm", [])]
+    return raw
+
+
+@pytest.mark.parametrize("j", [-20, 10])
+@pytest.mark.parametrize("scaling", ["lengths", "conductances", "drop", "shift"])
+@pytest.mark.parametrize("name", ["constant_h.yaml", "decreasing_h.yaml", "increasing_h.yaml",
+                                  "step_h.yaml", "verify.yaml"])
+def test_status_is_invariant_under_the_models_scalings(tmp_path, name, scaling, j):
+    # the iterates scale exactly under these scalings, so a unit-free status
+    # must not change at all
+    base = shipped_uncapped(name)
+    p = tmp_path / name
+    p.write_text(yaml.safe_dump(scaled_yaml(name, scaling, j)))
+    res = uncapped(p)
+    b_scale = 2.0 ** j if scaling == "lengths" else 1.0
+    F_scale = 1.0 if scaling == "shift" else 2.0 ** j
+    assert np.array_equal(res.b_opt.density, base.b_opt.density * b_scale)
+    assert res.objective == base.objective * F_scale
+    assert (res.n_iterations, res.stop_reason) == (base.n_iterations, base.stop_reason)
+    assert (res.converged, res.pg_residual) == (base.converged, base.pg_residual)
 
 
 @pytest.mark.parametrize("name", ["constant_h.yaml", "increasing_h.yaml"])
