@@ -29,7 +29,7 @@ from .functionals import flux_report, surface_supremum
 from .io import format_column, write_json, write_table
 from .optimizer import (OptimResult, iter_sweep_M, nondecreasing, optimize,
                         verify_bang_structure)
-from .profiles import enforce_surface_bound
+from .profiles import enforce_surface_bound, excess_surface
 from .sequences import bang_density, switch_point
 from .solver import solve_temperature
 from .verification import default_config, run_verification
@@ -64,6 +64,8 @@ def _parser() -> argparse.ArgumentParser:
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else default_config()
     overrides = {k: v for k, v in vars(args).items() if k in ("n_cells", "out_format", "seed")}
+    if cfg.S0 is not None:   # every command refuses a budget below the floor
+        excess_surface(cfg.S0, cfg.a0, cfg.length)
     # replace() re-runs the config's own checks on the overridden values
     return replace(cfg, **overrides)
 
@@ -154,11 +156,12 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     x, x_mid = format_column(base.grid.nodes), format_column(base.grid.midpoints)
     summaries = []
     prev = -np.inf
-    for res, tag in zip(iter_sweep_M(base, cfg.M_list, include_uncapped=cfg.drop_cap),
-                        tags + ["_uncapped"]):
-        rep = _write_optim(cfg, res, out, x, x_mid, suffix=tag)
-        rep["nondecreasing_vs_previous"] = nondecreasing(prev, res.objective)
-        prev = res.objective
+    runs = iter_sweep_M(base, cfg.M_list, include_uncapped=cfg.drop_cap)
+    for tag in tags + ["_uncapped"] * cfg.drop_cap:
+        # no name holds a written result, so it is freed before the next run solves
+        rep = _write_optim(cfg, next(runs), out, x, x_mid, suffix=tag)
+        rep["nondecreasing_vs_previous"] = nondecreasing(prev, rep["objective_W"])
+        prev = rep["objective_W"]
         summaries.append(rep)
     summary = {"runs": summaries}
     if cfg.h_profile.is_constant and cfg.S0 is not None:

@@ -39,12 +39,12 @@ KEYS = {
 }
 
 
-class _ConfigLoader(yaml.SafeLoader):
-    """SafeLoader that also reads YAML 1.2 floats such as ``1e-3`` and ``2E+1``.
+class _ConfigLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """SafeLoader, on libyaml where PyYAML has it, that also reads YAML 1.2 floats.
 
-    PyYAML follows YAML 1.1, where an exponent needs a dot and a signed
-    power, so those spellings would load as strings.  Quoted scalars are
-    never resolved implicitly and stay strings.
+    PyYAML follows YAML 1.1, where an exponent needs a dot and a signed power,
+    so ``1e-3`` and ``2E+1`` would load as strings.  Quoted scalars are never
+    resolved implicitly and stay strings.
     """
 
 
@@ -209,6 +209,9 @@ class ExperimentConfig:
         for M1, M2 in zip(self.M_list, self.M_list[1:]):
             if M1 == M2:
                 raise ConfigError(f"constraint.M_list_mm: cap {M1 * 1e3:g} mm is repeated")
+        floor = self.a0 * self.length
+        if self.S0 is not None and floor * (1.0 - 1e-12) <= self.S0 < floor:
+            self.S0 = floor   # a budget within round-off of the floor is the floor
         # build what the commands build, so a bad section fails here, before any work
         self.params()
         self.design(self.grid())

@@ -46,7 +46,7 @@ def heat_flux_boundary(T: TemperatureField) -> float:
     """Inlet flux -k pi a(0)^2 T'(0) in its conservative discrete form."""
     system, b, theta = T.system, T.measure, T.excess
     q_first = system.a_mid[0] ** 2 * (theta[1] - theta[0]) / system.grid.dx
-    sink0 = system.reaction_weights(b.density, b.atoms)[0] * theta[0]
+    sink0 = system.inlet_weight(b.density, b.atoms) * theta[0]
     return -system.params.k * np.pi * (q_first - sink0)
 
 

@@ -62,7 +62,9 @@ def write_table(path: Path, header: list[str], columns: list[np.ndarray | list[s
         table[:len(col), j] = col if text is None else text
         fmts.append(_FMT if text is None else "%s")
     body = ((",".join(fmts) + "\n") * n) % tuple(table.ravel().tolist())
-    path.write_text("\n".join(lines) + "\n" + body)
+    with path.open("w") as f:   # the body is written as built, not copied behind the header
+        f.write("\n".join(lines) + "\n")
+        f.write(body)
 
 
 def write_json(path: Path, payload: dict) -> None:

@@ -167,11 +167,11 @@ def optimize(cfg: OptimConfig) -> OptimResult:
         trace.append(F)
         # tested only once the objective stops rising: tested after every
         # step, the certificate ends some runs short of their switch
-        if gain < 1e-15 and residual(b, g) <= cfg.pg_tol:
+        if gain < 1e-15 and (pg_res := residual(b, g)) <= cfg.pg_tol:
             stop_reason = "kkt"
             break
 
-    pg_res = residual(b, g)
+    pg_res = pg_res if stop_reason == "kkt" else residual(b, g)
 
     tol_b = 1e-6 * (hi - a0 if np.isfinite(hi) else max(float(np.max(b)) - a0, a0))
     labels = np.full(grid.n_cells, "free", dtype="<U5")

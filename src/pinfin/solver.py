@@ -22,12 +22,15 @@ face).  An atom exactly at x = 0 does not enter the state equation at all: the
 admissible test functions vanish there, so inlet mass affects only the relaxed
 flux functional.
 
-The tridiagonal solve calls LAPACK ``dptsv`` from the ILP64 OpenBLAS that
-numpy's manylinux wheel bundles (``numpy.libs/libscipy_openblas64_*.so``,
-symbol ``scipy_dptsv_64_``), so importing this module does not import scipy.
-Where that library or symbol is not found (numpy from conda, MKL, a distro
-build, or a wheel that names its OpenBLAS differently), scipy's own ``dptsv``
-wrapper is imported at the first solve instead.
+A ``FinSystem`` keeps ``s[:-1] + s[1:]`` and one ``d | e`` buffer (n, then
+n - 1 entries) that LAPACK ``dptsv`` factors in place.  A solve passes the
+cell weights through ``theta[1:]`` into ``d``, rewrites ``e = -s[1:]``, then
+solves the right-hand side in ``theta[1:]`` (``ldb = n``): theta is all it
+allocates.  ``dptsv`` comes from the ILP64 OpenBLAS of numpy's manylinux wheel
+(``numpy.libs/libscipy_openblas64_*.so``, ``scipy_dptsv_64_``), so importing
+this module does not import scipy; where that is not found (conda, MKL, a
+distro build, a wheel naming its OpenBLAS differently), scipy's wrapper is
+imported at the first solve.
 """
 
 import ctypes
@@ -59,21 +62,21 @@ def _bundled_dptsv():
     return fn
 
 
-def _lapack_dptsv(w: np.ndarray, n: int) -> int:
-    """Solve the packed system ``w = d | e | b`` in place; returns LAPACK's info."""
-    p, step = w.ctypes.data, w.itemsize
+def _lapack_dptsv(de: np.ndarray, b: np.ndarray) -> int:
+    """Solve ``de = d | e`` with right-hand side ``b`` in place; returns LAPACK's info."""
+    p, n = de.ctypes.data, b.size
     size, one, info = ctypes.c_int64(n), ctypes.c_int64(1), ctypes.c_int64(0)
-    _BUNDLED(ctypes.byref(size), ctypes.byref(one), p, p + step * n,
-             p + step * (2 * n - 1), ctypes.byref(size), ctypes.byref(info))
+    _BUNDLED(ctypes.byref(size), ctypes.byref(one), p, p + de.itemsize * n,
+             b.ctypes.data, ctypes.byref(size), ctypes.byref(info))
     return info.value
 
 
-def _scipy_dptsv(w: np.ndarray, n: int) -> int:
+def _scipy_dptsv(de: np.ndarray, b: np.ndarray) -> int:
     """``_lapack_dptsv`` through scipy's wrapper of the same routine."""
     from scipy.linalg.lapack import dptsv
-    b = w[2 * n - 1:]
-    e = w[n:2 * n - 1] if n > 1 else np.zeros(1)   # the wrapper wants e.size >= 1
-    _, _, x, info = dptsv(w[:n], e, b, overwrite_d=True, overwrite_e=True,
+    n = b.size
+    e = de[n:] if n > 1 else np.zeros(1)   # the wrapper wants e.size >= 1
+    _, _, x, info = dptsv(de[:n], e, b, overwrite_d=True, overwrite_e=True,
                           overwrite_b=True)
     b[:] = x   # a self-copy when scipy solved in place
     return info
@@ -103,11 +106,12 @@ class FinSystem:
 
     Holds the midpoint radii ``a_mid``, the face conductances
     ``a_mid^2 / dx``, the Robin tip coefficient ``beta_r a(L)^2`` and
-    ``beta`` at the cell midpoints.  Every rule that turns a surface measure
-    into the discrete problem lives here: the control-volume reaction
-    weights, the SPD tridiagonal solve, the relaxed flux pairing and its
-    gradient.  Measures enter as a cell density plus ``(position, mass)``
-    atoms.
+    ``beta`` at the cell midpoints, and the ``d | e`` buffer every solve
+    reuses (so one kernel serves one thread at a time).  Every rule that
+    turns a surface measure into the discrete problem lives here: the
+    control-volume reaction weights, the SPD tridiagonal solve, the relaxed
+    flux pairing and its gradient.  Measures enter as a cell density plus
+    ``(position, mass)`` atoms.
     """
 
     def __init__(self, a: RadiusProfile, params: PhysicalParams, grid: Grid):
@@ -115,15 +119,18 @@ class FinSystem:
             raise ConfigError("radius profile does not match the grid")
         self.params, self.grid = params, grid
         self.a_mid = am = a.at_midpoints()
-        self.conductance = am * am / grid.dx
+        self.conductance = s = am * am / grid.dx
         self.robin = params.beta_r * a.values[-1] ** 2
         self.beta_mid = params.beta(grid.midpoints)
+        self._s_sum = s[:-1] + s[1:]   # the density-free part of d
+        self._de = np.empty(2 * s.size - 1)
 
-    def _cell_weights(self, density: np.ndarray) -> np.ndarray:
+    def _cell_weights(self, density: np.ndarray, out=None) -> np.ndarray:
         """Half-cell integrals of beta*b, each shared by the cell's two nodes."""
         if density.size != self.grid.n_cells:
             raise ConfigError("surface measure does not match the grid")
-        return self.beta_mid * density * self.grid.dx / 2.0
+        w = np.multiply(self.beta_mid, density, out=out)
+        return np.divide(np.multiply(w, self.grid.dx, out=w), 2.0, out=w)
 
     def _atom_loads(self, atoms, with_inlet: bool):
         """``(node, beta * mass * share)`` per node an atom reaches; x = 0 if ``with_inlet``."""
@@ -134,40 +141,42 @@ class FinSystem:
             for node, wgt in atom_node_weights(pos, self.grid):
                 yield node, wgt * bval * mass
 
-    def reaction_weights(self, density: np.ndarray, atoms=()) -> np.ndarray:
-        """Per-node control-volume integrals of beta*b; node 0 only closes the balance."""
-        w = self._cell_weights(density)
-        m = np.zeros(self.grid.n_cells + 1)
-        m[:-1] += w
-        m[1:] += w
+    def inlet_weight(self, density: np.ndarray, atoms=()) -> float:
+        """Node 0's control-volume integral of beta*b; it only closes the balance."""
+        m0 = self.beta_mid[0] * density[0] * self.grid.dx / 2.0
         for node, load in self._atom_loads(atoms, with_inlet=False):
-            m[node] += load
-        return m
+            if node == 0:
+                m0 += load
+        return m0
 
-    def solve(self, m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve the SPD tridiagonal system for nodes 1..n."""
-        s = self.conductance
-        n = s.size
-        w = np.empty(3 * n - 1)   # one buffer, which dptsv overwrites
-        d, e, b = w[:n], w[n:2 * n - 1], w[2 * n - 1:]
-        d[:-1] = s[:-1] + s[1:] + m[1:-1]
-        d[-1] = s[-1] + m[-1] + self.robin
-        np.negative(s[1:], out=e)
-        b[:] = rhs
-        if not np.isfinite(w).all():
+    def solve(self, density: np.ndarray, atoms, inlet: float, loads=()) -> np.ndarray:
+        """Nodal theta, theta(0) = ``inlet``, under point ``loads`` ``(node >= 1, value)``."""
+        s, n = self.conductance, self.conductance.size
+        d, e = self._de[:n], self._de[n:]
+        theta = np.empty(n + 1)   # the only allocation: theta[1:] is scratch until the rhs
+        w = self._cell_weights(density, out=theta[1:])
+        np.add(w[:-1], w[1:], out=d[:-1])
+        d[-1] = w[-1]
+        for node, load in self._atom_loads(atoms, with_inlet=False):
+            if node:
+                d[node - 1] += load
+        np.add(self._s_sum, d[:-1], out=d[:-1])
+        d[-1] = s[-1] + d[-1] + self.robin
+        np.negative(s[1:], out=e)   # dptsv overwrote the last solve's
+        theta[0], theta[1:], theta[1] = inlet, 0.0, s[0] * inlet
+        for node, value in loads:
+            theta[node] += value
+        if not (np.isfinite(self._de).all() and np.isfinite(theta).all()):
             raise NumericalError("temperature system has non-finite entries "
                                  "(k, h or the geometry overflow)")
-        info = _dptsv(w, n)
+        info = _dptsv(self._de, theta[1:])
         if info != 0:
             raise NumericalError(f"singular temperature system: dptsv info={info}")
-        return b
+        return theta
 
     def excess(self, density: np.ndarray, atoms=()) -> np.ndarray:
         """Nodal excess temperature theta = T - T_inf, theta(0) = T_d - T_inf."""
-        dT = self.params.delta_T
-        rhs = np.zeros(self.grid.n_cells)
-        rhs[0] = self.conductance[0] * dT
-        return np.concatenate(([dT], self.solve(self.reaction_weights(density, atoms), rhs)))
+        return self.solve(density, atoms, self.params.delta_T)
 
     def relaxed_flux(self, theta: np.ndarray, density: np.ndarray,
                      atoms=()) -> float:

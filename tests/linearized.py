@@ -43,14 +43,10 @@ def solve_linearized(T: TemperatureField, x0: float, c: float) -> LinearizedFiel
         raise ConfigError(f"swap point x0={x0} must be strictly inside (0, L)")
     if not (c > 0.0):
         raise ConfigError(f"swap amplitude c must be positive, got {c}")
-    m = system.reaction_weights(b.density, b.atoms)
     theta_x0 = T.theta_at(x0)
     strength = float(system.params.beta(x0)) * c * theta_x0
-    rhs = np.zeros(grid.n_cells)
-    for node, wgt in atom_node_weights(x0, grid):
-        if node >= 1:
-            rhs[node - 1] += wgt * strength
-    tilde = np.concatenate(([0.0], system.solve(m, rhs)))
+    loads = [(node, wgt * strength) for node, wgt in atom_node_weights(x0, grid) if node >= 1]
+    tilde = system.solve(b.density, b.atoms, 0.0, loads)
 
     s = system.conductance
     i0 = atom_node_weights(x0, grid)[0][0]

@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 from pinfin import Grid, step_density
+from pinfin import config
 from pinfin.cli import main
 from pinfin.config import load_config
 from pinfin.errors import ConfigError
@@ -96,6 +97,52 @@ def test_config_rejects_a_quoted_number(tmp_path):
                                        'S0_times_a0_length: "1e-3"'))
     with pytest.raises(ConfigError, match="expected a number, got '1e-3'"):
         load_config(p)
+
+
+def python_loader():
+    """The config loader's resolvers on PyYAML's pure-Python SafeLoader."""
+    return type("PythonLoader", (yaml.SafeLoader,),
+                {"yaml_implicit_resolvers": config._ConfigLoader.yaml_implicit_resolvers})
+
+
+def test_config_parses_with_libyaml_where_pyyaml_ships_it():
+    assert issubclass(config._ConfigLoader, yaml.SafeLoader) != yaml.__with_libyaml__
+    assert issubclass(config._ConfigLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+
+
+@pytest.mark.parametrize("source", ["constant_h", "decreasing_h", "step_h", "increasing_h",
+                                    "verify", "README", "1.2-floats"])
+def test_both_yaml_loaders_load_every_config_alike(tmp_path, monkeypatch, source):
+    if source == "README":
+        readme = (CONFIGS.parent / "README.md").read_text()
+        text = re.search(r"## Configuration.*?```yaml\n(.*?)```", readme, re.S).group(1)
+    elif source == "1.2-floats":
+        text = write_cfg(tmp_path, physics={"k": "1e1", "h": "1.0e1", "h_r": "2E+1",
+                                            "T_d": "1e+1", "T_inf": "0e0"}).read_text()
+        text = text.replace("'", "")   # safe_dump quoted the spellings it would not read back
+    else:
+        text = (CONFIGS / f"{source}.yaml").read_text()
+    p = tmp_path / "c.yaml"
+    p.write_text(text)
+    fast, raw = load_config(p), yaml.load(text, Loader=config._ConfigLoader)
+    monkeypatch.setattr(config, "_ConfigLoader", python_loader())
+    assert repr(yaml.load(text, Loader=config._ConfigLoader)) == repr(raw)
+    slow = load_config(p)
+    assert {**vars(slow), "h_profile": vars(slow.h_profile)} == \
+        {**vars(fast), "h_profile": vars(fast.h_profile)}
+    if source == "1.2-floats":
+        assert (fast.k, fast.h_r, fast.T_d, fast.T_inf) == (10.0, 20.0, 10.0, 0.0)
+
+
+@pytest.mark.parametrize("loader", ["configured", "python"])
+def test_malformed_yaml_exits_1_under_both_loaders(tmp_path, monkeypatch, capsys, loader):
+    if loader == "python":
+        monkeypatch.setattr(config, "_ConfigLoader", python_loader())
+    p = tmp_path / "bad.yaml"
+    p.write_text("geometry: {a0_mm: 1.0, length_mm: 100.0\nphysics: [k\n")
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "YAML parse error" in err
 
 
 # ------------------------------------------------------------------ solve
@@ -599,6 +646,32 @@ def test_verify_skips_the_excess_items_on_a_floor_budget(tmp_path, capsys, name)
     items = {i["name"]: i for i in json.loads((out / "verify_report.json").read_text())["items"]}
     assert items["concentration_behavior"]["skipped"]
     assert items["generalized_supremum"]["skipped"]
+
+
+FLOOR_PHYSICS = {"k": 10.0, "h": {"kind": "affine", "start": 20.0, "end": 10.0},
+                 "h_r": "h(l)", "T_d": 10.0, "T_inf": 0.0}
+
+
+@pytest.mark.parametrize("surface", [{"S0_mm2": 100.0},
+                                     {"S0_times_a0_length": 1.0 - 1e-13}])
+def test_a_budget_within_round_off_of_the_floor_loads_as_the_floor(tmp_path, capsys,
+                                                                    surface):
+    # 100 mm^2 * 1e-6 rounds to 9.999999999999999e-05, one ulp under a0 L
+    p = write_cfg(tmp_path, physics=FLOOR_PHYSICS,
+                  constraint={"kind": "surface", **surface, "M_list_mm": [12.5, 25.0]})
+    cfg = load_config(p)
+    assert cfg.S0 == cfg.a0 * cfg.length
+    for command in ("solve", "optimize", "sweep", "sequence", "verify"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(p), "--out", str(tmp_path / command)])
+        assert code == 0, (command, capsys.readouterr().err)
+
+
+def test_a_budget_below_the_floor_is_refused_by_every_command(tmp_path, capsys):
+    p = write_cfg(tmp_path, physics=FLOOR_PHYSICS,
+                  constraint={"kind": "surface", "S0_mm2": 99.9999, "M_list_mm": [12.5, 25.0]})
+    assert_every_command_refuses(tmp_path, capsys, p, "below the floor surface a0 L")
 
 
 def test_verify_takes_the_cap_list_in_any_order(tmp_path, capsys):

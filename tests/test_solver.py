@@ -1,6 +1,7 @@
 import dataclasses
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ from pinfin import solver
 from pinfin.errors import NumericalError
 from pinfin.randoms import random_pair
 
+import reference_assembly
 from conftest import A0, LENGTH, constant_fin, rel_linf
 
 
@@ -176,11 +178,23 @@ def test_variable_h_profile_solves(demo_params):
 
 # ------------------------------------------------------------------ LAPACK paths
 
-def _random_system(rng, n):
-    """Face conductances, Robin term, reaction weights and rhs of an n-node system."""
-    system = SimpleNamespace(conductance=rng.uniform(0.5, 2.0, n),
-                             robin=rng.uniform(0.0, 1.0))
-    return system, rng.uniform(0.0, 1.0, n + 1), rng.uniform(-1.0, 1.0, n)
+class _AnyGrid(Grid):
+    """A grid that also takes one cell, the smallest system dptsv solves."""
+
+    def __post_init__(self):
+        pass
+
+
+def _random_system(rng, n, params=None):
+    """A kernel on random radii (any n >= 1), a random density and random point loads."""
+    values = A0 * rng.uniform(1.0, 1.5, n + 1)
+    # duck-typed, because RadiusProfile wants at least two cells
+    radius = SimpleNamespace(values=values, at_midpoints=lambda: 0.5 * (values[:-1] + values[1:]))
+    params = params or PhysicalParams(k=10.0, h=10.0, h_r=rng.uniform(0.0, 20.0),
+                                      T_d=10.0, T_inf=0.0)
+    system = solver.FinSystem(radius, params, _AnyGrid(LENGTH, n))
+    loads = list(enumerate(rng.uniform(-1.0, 1.0, n), start=1))
+    return system, A0 * rng.uniform(1.0, 4.0, n), loads
 
 
 @pytest.mark.skipif(solver._BUNDLED is None,
@@ -188,15 +202,16 @@ def _random_system(rng, n):
 @pytest.mark.parametrize("n", [1, 2, 500, 4096])
 def test_bundled_and_scipy_dptsv_agree_bitwise(monkeypatch, n):
     rng = np.random.default_rng(n)
-    system, m, rhs = _random_system(rng, n)
-    fast = solver.FinSystem.solve(system, m, rhs)
+    system, density, loads = _random_system(rng, n)
+    fast = system.solve(density, (), 0.0, loads)
     monkeypatch.setattr(solver, "_dptsv", solver._scipy_dptsv)
-    assert np.array_equal(solver.FinSystem.solve(system, m, rhs), fast)
+    assert np.array_equal(system.solve(density, (), 0.0, loads), fast)
     if n <= 500:
-        s = system.conductance
+        s, m = system.conductance, reference_assembly.reaction_weights(system, density)
         d = np.append(s[:-1] + s[1:] + m[1:-1], s[-1] + m[-1] + system.robin)
         dense = np.diag(d) - np.diag(s[1:], 1) - np.diag(s[1:], -1)
-        assert np.allclose(dense @ fast, rhs, rtol=0, atol=1e-12)
+        rhs = np.array([value for _, value in loads])
+        assert np.allclose(dense @ fast[1:], rhs, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("path", ["bound", "scipy"])
@@ -204,17 +219,60 @@ def test_both_dptsv_paths_raise_on_indefinite_or_nan_systems(monkeypatch, path):
     if path == "scipy":
         monkeypatch.setattr(solver, "_dptsv", solver._scipy_dptsv)
     rng = np.random.default_rng(7)
-    system, m, rhs = _random_system(rng, 50)
-    indefinite = m.copy()
-    indefinite[20] = -1e3
+    system, density, loads = _random_system(rng, 50)
+    indefinite = density.copy()
+    # a sink far below the conductance sums of the cell's two nodes
+    sink = -1e3 * system.conductance.max() / (system.beta_mid[20] * system.grid.dx)
+    indefinite[20] = sink
     with pytest.raises(NumericalError, match="singular temperature system"):
-        solver.FinSystem.solve(system, indefinite, rhs)
-    bad_rhs = rhs.copy()
-    bad_rhs[10] = np.nan
+        system.solve(indefinite, (), 0.0, loads)
+    bad_loads = list(loads)
+    bad_loads[10] = (11, np.nan)
     with pytest.raises(NumericalError, match="non-finite"):
-        solver.FinSystem.solve(system, m, bad_rhs)
-    # the inputs are left as they were: the solve works on its own copies
-    assert np.isnan(bad_rhs[10]) and indefinite[20] == -1e3
+        system.solve(density, (), 0.0, bad_loads)
+    # the inputs are left as they were: the solve writes only its own theta
+    assert np.isnan(bad_loads[10][1]) and indefinite[20] == sink
+    # and a failed solve leaves the kernel reusable
+    assert np.array_equal(system.solve(density, (), 0.0, loads),
+                          _random_system(np.random.default_rng(7), 50)[0]
+                          .solve(density, (), 0.0, loads))
+
+
+@pytest.mark.parametrize("path", ["bundled", "scipy"])
+@pytest.mark.parametrize("n", [1, 2, 500, 4096])
+def test_theta_matches_the_per_call_assembly_bitwise(monkeypatch, n, path):
+    if path == "bundled" and solver._BUNDLED is None:
+        pytest.skip("numpy has no bundled ILP64 OpenBLAS here")
+    if path == "scipy":
+        monkeypatch.setattr(solver, "_dptsv", solver._scipy_dptsv)
+    rng = np.random.default_rng(1000 + n)
+    params = PhysicalParams(k=10.0, h=lambda x: 10.0 + 50.0 * x, h_r=7.0,
+                            T_d=10.0, T_inf=0.0)
+    system, _, _ = _random_system(rng, n, params)
+    grid = system.grid
+    face = float(grid.midpoints[rng.integers(n)] + grid.dx / 2.0) if n > 1 else grid.dx / 2.0
+    inlet, tip = (0.0, 2e-4), (LENGTH, 3e-5)
+    placed = [inlet, (face, 1e-4), (float(rng.uniform(0.0, LENGTH)), 5e-5), tip]
+    # one kernel for every case, so each solve also runs on a reused buffer
+    for atoms in ([], [inlet], [placed[1]], [placed[2]], [tip], placed):
+        density = A0 * rng.uniform(1.0, 4.0, n)
+        expected = reference_assembly.excess(system, density, atoms, path)
+        assert system.excess(density, atoms).tobytes() == expected.tobytes()
+
+
+def test_one_solve_allocates_only_theta_and_a_finiteness_mask(demo_params):
+    grid = Grid(LENGTH, 32768)
+    system = solver.FinSystem(RadiusProfile.constant(A0, grid), demo_params, grid)
+    density = np.full(grid.n_cells, 2.0 * A0)
+    system.excess(density)   # the scipy fallback imports its wrapper on the first solve
+    tracemalloc.start()
+    try:
+        theta = system.excess(density)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    mask = system.conductance.size * 2 - 1   # one bool per d | e entry, the larger mask
+    assert peak <= theta.nbytes + mask + 4096
 
 
 def test_cli_import_leaves_scipy_unloaded():
