@@ -27,7 +27,7 @@ from .config import ExperimentConfig, load_config
 from .errors import ConfigError, NumericalError
 from .functionals import flux_report, surface_supremum
 from .io import format_column, write_json, write_table
-from .optimizer import (OptimResult, iter_sweep_M, nondecreasing, optimize,
+from .optimizer import (OptimResult, nondecreasing, optimize, sweep_M,
                         verify_bang_structure)
 from .profiles import enforce_surface_bound, excess_surface
 from .sequences import bang_density, switch_point
@@ -95,7 +95,7 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
 
 def _write_optim(cfg: ExperimentConfig, res: OptimResult, out: Path,
                  x: list[str], x_mid: list[str], suffix: str = "") -> dict:
-    oc, grid, fmt = res.config, res.config.grid, cfg.out_format
+    oc, fmt = res.config, cfg.out_format
     write_table(out / f"b_opt{suffix}.csv", ["x_mid_m", "b_m"],
                 [x_mid, res.b_opt.density], fmt=fmt)
     write_table(out / f"a_opt{suffix}.csv", ["x_m", "a_m"],
@@ -111,15 +111,13 @@ def _write_optim(cfg: ExperimentConfig, res: OptimResult, out: Path,
         "stop_reason": res.stop_reason,
         "iterations": int(res.n_iterations),
         "budget_active": bool(res.budget_active),
-        "cells_between_bounds": int(np.sum(res.active_set == "free")),
+        "cells_between_bounds": res.cells_between_bounds,
         "cap_M_m": oc.M,
     }
     if np.any(res.b_opt.density > oc.a0):   # b >= a0, so then the excess is positive
-        xm = grid.midpoints
-        report["excess_fraction_first_5pct"] = res.excess_fraction(xm <= 0.05 * grid.length)
+        report["excess_fraction_first_5pct"] = res.excess_fraction(0.0)
         if cfg.h_profile.kind == "step":
-            report["excess_fraction_near_step"] = res.excess_fraction(
-                np.abs(xm - cfg.h_profile.x_step) <= 0.05 * grid.length)
+            report["excess_fraction_near_step"] = res.excess_fraction(cfg.h_profile.x_step)
     if oc.M is not None:
         bang = verify_bang_structure(res)
         report.update({
@@ -156,7 +154,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     x, x_mid = format_column(base.grid.nodes), format_column(base.grid.midpoints)
     summaries = []
     prev = -np.inf
-    runs = iter_sweep_M(base, cfg.M_list, include_uncapped=cfg.drop_cap)
+    runs = sweep_M(base, cfg.M_list, include_uncapped=cfg.drop_cap)
     for tag in tags + ["_uncapped"] * cfg.drop_cap:
         # no name holds a written result, so it is freed before the next run solves
         rep = _write_optim(cfg, next(runs), out, x, x_mid, suffix=tag)

@@ -22,7 +22,7 @@ from .errors import ConfigError
 from .grid import Grid
 from .physics import PhysicalParams
 from .profiles import FluxReport, RadiusProfile, SurfaceMeasure, excess_surface
-from .solver import TemperatureField, compute_gamma, solve_temperature
+from .solver import TemperatureField, compute_gamma
 
 
 def volume(a: RadiusProfile, grid: Grid) -> float:
@@ -74,14 +74,19 @@ def surface_supremum(a0: float, length: float, S0: float,
                  * (a0 ** 1.5 * gamma / np.sqrt(beta) + excess))
 
 
-def generalized_supremum(a0: float, length: float, S0: float,
-                         params: PhysicalParams, grid: Grid) -> float:
+def generalized_supremum(flat: TemperatureField, S0: float) -> float:
     """Supremum of the flux for variable beta(x) attaining its max at x = 0.
 
+    ``flat`` is the solve on the floor radius a0 with the floor density.
     Assembles ``k pi [a0 int beta theta + (S0 - a0 L) beta(0) dT]`` plus the
-    tip term from a constant-radius solve; consistent with the relaxed
-    functional, it reduces exactly to ``surface_supremum`` for constant h.
+    tip term from it; consistent with the relaxed functional, it reduces
+    exactly to ``surface_supremum`` for constant h.
     """
+    a0, length = flat.measure.floor, flat.measure.length
+    params, grid = flat.system.params, flat.system.grid
+    if (flat.measure.atoms or np.any(flat.measure.density != a0)
+            or np.any(flat.system.a_mid != a0)):
+        raise ConfigError("the supremum formula needs the solve on the flat design a = b = a0")
     excess = excess_surface(S0, a0, length)
     if params.is_constant_h:
         return surface_supremum(a0, length, S0, params)
@@ -90,11 +95,8 @@ def generalized_supremum(a0: float, length: float, S0: float,
         raise ConfigError(
             "beta(x) must attain its maximum at x = 0 for the supremum formula"
         )
-    a = RadiusProfile.constant(a0, grid)
-    b = SurfaceMeasure.constant(a0, grid)
-    base = heat_flux_relaxed(solve_temperature(a, b, params, grid))
     inlet = params.k * np.pi * excess * float(params.beta(0.0)) * params.delta_T
-    return float(base + inlet)
+    return float(heat_flux_relaxed(flat) + inlet)
 
 
 def flux_gradient_density(T: TemperatureField) -> np.ndarray:

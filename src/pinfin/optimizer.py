@@ -59,7 +59,7 @@ class OptimResult:
     b_opt: SurfaceMeasure
     objective: float
     switch_estimate: float
-    active_set: np.ndarray         # per-cell labels: "lower" | "free" | "upper"
+    cells_between_bounds: int      # cells neither at the floor nor at the cap
     trace: np.ndarray
     converged: bool                # pg_residual <= pg_tol, whatever stopped the run
     n_iterations: int
@@ -75,9 +75,12 @@ class OptimResult:
         """A radius realizing ``b_opt``, reconstructed on first read."""
         return radius_from_density(self.b_opt, self.config.grid)
 
-    def excess_fraction(self, near: np.ndarray) -> float:
-        """Share of the excess surface ``(b - a0) dx`` on the cells ``near`` selects."""
-        exc = (self.b_opt.density - self.b_opt.floor) * self.config.grid.dx
+    def excess_fraction(self, center: float) -> float:
+        """Share of the excess surface ``(b - a0) dx`` on the cells whose
+        midpoint lies within 5% of the fin length of ``center``."""
+        grid = self.config.grid
+        near = np.abs(grid.midpoints - center) <= 0.05 * grid.length
+        exc = (self.b_opt.density - self.b_opt.floor) * grid.dx
         return float(exc[near].sum() / exc.sum())
 
 
@@ -174,18 +177,14 @@ def optimize(cfg: OptimConfig) -> OptimResult:
     pg_res = pg_res if stop_reason == "kkt" else residual(b, g)
 
     tol_b = 1e-6 * (hi - a0 if np.isfinite(hi) else max(float(np.max(b)) - a0, a0))
-    labels = np.full(grid.n_cells, "free", dtype="<U5")
-    labels[b <= a0 + tol_b] = "lower"
-    if np.isfinite(hi):
-        labels[b >= hi - tol_b] = "upper"
-    upper_cells = np.nonzero(labels == "upper")[0]
-    switch = float((upper_cells[-1] + 1) * dx) if upper_cells.size else 0.0
+    upper = np.nonzero(b >= hi - tol_b)[0]     # none without a cap
+    switch = float((upper[-1] + 1) * dx) if upper.size else 0.0
 
     return OptimResult(
         b_opt=SurfaceMeasure(b, a0, grid.length),
         objective=F,
         switch_estimate=switch,
-        active_set=labels,
+        cells_between_bounds=int(np.count_nonzero((b > a0 + tol_b) & (b < hi - tol_b))),
         trace=np.asarray(trace),
         converged=pg_res <= cfg.pg_tol,
         n_iterations=it,
@@ -202,7 +201,6 @@ def optimize(cfg: OptimConfig) -> OptimResult:
 class BangStructureReport:
     switch_expected: float
     switch_error_cells: float
-    cells_between_bounds: int
     bang_objective: float
     objective_relative_gap: float
 
@@ -218,7 +216,6 @@ def verify_bang_structure(res: OptimResult) -> BangStructureReport:
     return BangStructureReport(
         switch_expected=xM,
         switch_error_cells=abs(res.switch_estimate - xM) / cfg.grid.dx,
-        cells_between_bounds=int(np.sum(res.active_set == "free")),
         bang_objective=F_bang,
         objective_relative_gap=abs(res.objective - F_bang) / max(abs(F_bang), 1e-300),
     )
@@ -229,22 +226,14 @@ def nondecreasing(prev: float, F: float) -> bool:
     return bool(F >= prev * (1 - 1e-12))
 
 
-def iter_sweep_M(cfg: OptimConfig, M_list, include_uncapped: bool = False):
-    """Optimize for each cap in turn, yielding each result when it is ready.
+def sweep_M(cfg: OptimConfig, M_list, include_uncapped: bool = False):
+    """One optimization per cap, in order, each run when the caller asks for it.
 
-    Caps must be strictly increasing; ``include_uncapped`` appends a run
-    without a cap.  A caller that writes each result out before asking for
-    the next never holds more than one.
+    Caps must be strictly increasing, which is checked at the call;
+    ``include_uncapped`` appends a run without a cap.  A caller that writes
+    each result out before asking for the next never holds more than one.
     """
     caps = list(M_list)
     if any(b <= a for a, b in zip(caps, caps[1:])):
         raise ConfigError("M_list must be strictly increasing")
-    if include_uncapped:
-        caps.append(None)
-    for M in caps:
-        yield optimize(replace(cfg, M=M))
-
-
-def sweep_M(cfg: OptimConfig, M_list, include_uncapped: bool = False) -> list[OptimResult]:
-    """One optimization per cap, in order; caps must be increasing."""
-    return list(iter_sweep_M(cfg, M_list, include_uncapped))
+    return (optimize(replace(cfg, M=M)) for M in caps + [None] * include_uncapped)

@@ -223,11 +223,11 @@ def check_bang_structure(cfg: ExperimentConfig) -> Item:
         return _skip("bang_structure", "requires a surface budget and an M list")
     grid = cfg.grid(500)
     worst_gap, worst_cells, worst_between = 0.0, 0.0, 0
-    for M in cfg.M_list:
-        rep = verify_bang_structure(optimize(cfg.optim_config(M, grid)))
+    for res in sweep_M(cfg.optim_config(None, grid), cfg.M_list):
+        rep = verify_bang_structure(res)
         worst_gap = max(worst_gap, rep.objective_relative_gap)
         worst_cells = max(worst_cells, rep.switch_error_cells)
-        worst_between = max(worst_between, rep.cells_between_bounds)
+        worst_between = max(worst_between, res.cells_between_bounds)
     ok = worst_gap <= 1e-3 and worst_cells <= 1.0 and worst_between <= 1
     return Item("bang_structure", ok, False, worst_gap, 1e-3,
                 f"max objective gap {worst_gap:.2e}, switch error "
@@ -258,7 +258,6 @@ def check_concentration(cfg: ExperimentConfig) -> Item:
     if cfg.S0 is None:
         return _skip("concentration_behavior", "requires a surface budget")
     grid = cfg.grid(500)
-    xm = grid.midpoints
     h = cfg.h_profile
     if kind == "step" or (kind == "affine" and h.end < h.start):
         M = cfg.cap()
@@ -282,12 +281,10 @@ def check_concentration(cfg: ExperimentConfig) -> Item:
                     "increasing h, cap dropped: max excess density over its "
                     f"median on the support ({int(support.sum())} cells)")
     if kind == "step":
-        label, where, least = "step", "within +-5% of the step", 0.8
-        near = np.abs(xm - h.x_step) <= 0.05 * cfg.length
+        label, where, least, center = "step", "within +-5% of the step", 0.8, h.x_step
     else:
-        label, where, least = "decreasing", "in the first 5% of the fin", 0.9
-        near = xm <= 0.05 * cfg.length
-    frac = res.excess_fraction(near)
+        label, where, least, center = "decreasing", "in the first 5% of the fin", 0.9, 0.0
+    frac = res.excess_fraction(center)
     return Item("concentration_behavior", frac >= least, False, frac, least,
                 f"{label} h: fraction of excess surface {where} at M={M:g}")
 
@@ -323,15 +320,14 @@ def check_generalized_supremum(cfg: ExperimentConfig) -> Item:
     S0 = cfg.S0 or 6 * cfg.a0 * cfg.length
     if excess_surface(S0, cfg.a0, cfg.length) == 0.0:
         return _skip("generalized_supremum", "S0 = a0 L leaves no excess surface")
-    params = cfg.params()
     grid = cfg.grid(min(cfg.n_cells, 8192))
+    flat = solve_temperature(RadiusProfile.constant(cfg.a0, grid),
+                             SurfaceMeasure.constant(cfg.a0, grid), cfg.params(), grid)
     try:
-        sup = generalized_supremum(cfg.a0, cfg.length, S0, params, grid)
+        sup = generalized_supremum(flat, S0)
     except ConfigError as exc:
         return _skip("generalized_supremum", f"hypothesis violated, skipped: {exc}")
-    a = RadiusProfile.constant(cfg.a0, grid)
-    b = SurfaceMeasure.constant(cfg.a0, grid)
-    base = heat_flux_relaxed(solve_temperature(a, b, params, grid))
+    base = heat_flux_relaxed(flat)
     return Item("generalized_supremum", sup > base > 0.0, False, sup, base,
                 f"supremum {sup:.6e} exceeds the flat-design flux {base:.6e}")
 

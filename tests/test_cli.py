@@ -16,7 +16,9 @@ from pinfin.cli import main
 from pinfin.config import load_config
 from pinfin.errors import ConfigError
 from pinfin.io import format_column, write_table
-from pinfin.verification import check_concentration, default_config
+from pinfin.solver import FinSystem
+from pinfin.verification import (check_concentration, check_generalized_supremum,
+                                 default_config)
 from table_io import read_table
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -308,6 +310,38 @@ def test_optimize_and_sweep_outputs(tmp_path):
     assert len(summary["runs"]) == 2
     assert all(r["nondecreasing_vs_previous"] for r in summary["runs"])
     assert "surface_supremum_W" in summary
+
+
+@pytest.mark.parametrize("name, drop_cap", [("step_h", False), ("constant_h", False),
+                                            ("step_h", True)])
+def test_structure_report_counts_match_the_written_optimum(tmp_path, name, drop_cap):
+    # references recomputed from b_opt.csv, whose 17 digits read back bit for bit
+    raw = yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())
+    raw["constraint"]["drop_cap"] = drop_cap
+    p = tmp_path / f"{name}.yaml"
+    p.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "opt"
+    assert main(["optimize", "--config", str(p), "--out", str(out)]) == 0
+    rep = json.loads((out / "structure_report.json").read_text())
+    cfg = load_config(p)
+    b, a0, M = read_table(out / "b_opt.csv")["b_m"], cfg.a0, rep["cap_M_m"]
+    assert (M is None) == drop_cap
+    # three labels: floor cells, then cap cells written over them, the rest free
+    tol_b = 1e-6 * (max(float(np.max(b)) - a0, a0) if M is None else M - a0)
+    labels = np.full(b.size, "free")
+    labels[b <= a0 + tol_b] = "lower"
+    if M is not None:
+        labels[b >= M - tol_b] = "upper"
+    assert rep["cells_between_bounds"] == int(np.sum(labels == "free"))
+    xm = cfg.grid().midpoints
+    exc = (b - a0) * cfg.grid().dx
+    head = xm <= 0.05 * cfg.length
+    assert rep["excess_fraction_first_5pct"] == float(exc[head].sum() / exc.sum())
+    if name == "step_h":
+        near = np.abs(xm - cfg.h_profile.x_step) <= 0.05 * cfg.length
+        assert rep["excess_fraction_near_step"] == float(exc[near].sum() / exc.sum())
+    else:
+        assert "excess_fraction_near_step" not in rep
 
 
 def test_sweep_rejects_caps_whose_files_share_a_name(tmp_path, capsys):
@@ -646,6 +680,16 @@ def test_verify_skips_the_excess_items_on_a_floor_budget(tmp_path, capsys, name)
     items = {i["name"]: i for i in json.loads((out / "verify_report.json").read_text())["items"]}
     assert items["concentration_behavior"]["skipped"]
     assert items["generalized_supremum"]["skipped"]
+
+
+def test_generalized_supremum_item_solves_the_flat_design_once(monkeypatch):
+    built = []
+    init = FinSystem.__init__
+    monkeypatch.setattr(FinSystem, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    item = check_generalized_supremum(load_config(CONFIGS / "decreasing_h.yaml"))
+    assert item.passed and not item.skipped
+    assert len(built) == 1
 
 
 FLOOR_PHYSICS = {"k": 10.0, "h": {"kind": "affine", "start": 20.0, "end": 10.0},

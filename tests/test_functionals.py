@@ -196,16 +196,18 @@ def test_surface_supremum_budget_floor(demo_params):
         surface_supremum(A0, LENGTH, 0.5 * A0 * LENGTH, demo_params)
 
 
+def flat_solve(params, n_cells):
+    return constant_fin(A0, LENGTH, params, n_cells)[3]
+
+
 def test_generalized_supremum_reduces_to_constant_formula(demo_params):
-    grid = Grid(LENGTH, 2048)
     S0 = 6 * A0 * LENGTH
-    assert generalized_supremum(A0, LENGTH, S0, demo_params, grid) == \
+    assert generalized_supremum(flat_solve(demo_params, 2048), S0) == \
         surface_supremum(A0, LENGTH, S0, demo_params)
 
 
 def test_generalized_supremum_near_constant_h():
     # h equals h(0) except on a handful of cells: stays within quadrature error
-    grid = Grid(LENGTH, 4096)
     S0 = 6 * A0 * LENGTH
     const = PhysicalParams(k=10.0, h=10.0, h_r=10.0, T_d=10.0, T_inf=0.0)
 
@@ -216,17 +218,16 @@ def test_generalized_supremum_near_constant_h():
 
     varying = PhysicalParams(k=10.0, h=h_dip, h_r=10.0, T_d=10.0, T_inf=0.0)
     ref = surface_supremum(A0, LENGTH, S0, const)
-    got = generalized_supremum(A0, LENGTH, S0, varying, grid)
+    got = generalized_supremum(flat_solve(varying, 4096), S0)
     assert got == pytest.approx(ref, rel=1e-5)
 
 
 def test_generalized_supremum_decreasing_affine_high_res_assembly():
     # oracle: independent trapezoid assembly of the three terms from a finer solve
-    grid = Grid(LENGTH, 8192)
     S0 = 6 * A0 * LENGTH
     params = PhysicalParams(k=10.0, h=lambda x: 20.0 - 100.0 * x, h_r=10.0,
                             T_d=10.0, T_inf=0.0)
-    got = generalized_supremum(A0, LENGTH, S0, params, grid)
+    got = generalized_supremum(flat_solve(params, 8192), S0)
 
     fine = Grid(LENGTH, 32768)
     a = RadiusProfile.constant(A0, fine)
@@ -242,11 +243,20 @@ def test_generalized_supremum_decreasing_affine_high_res_assembly():
 
 
 def test_generalized_supremum_requires_max_at_inlet():
-    grid = Grid(LENGTH, 512)
     rising = PhysicalParams(k=10.0, h=lambda x: 10.0 + 100.0 * x, h_r=10.0,
                             T_d=10.0, T_inf=0.0)
     with pytest.raises(ConfigError):
-        generalized_supremum(A0, LENGTH, 6 * A0 * LENGTH, rising, grid)
+        generalized_supremum(flat_solve(rising, 512), 6 * A0 * LENGTH)
+
+
+def test_generalized_supremum_refuses_a_solve_off_the_flat_design(demo_params):
+    grid, a, b, _ = constant_fin(A0, LENGTH, demo_params, 512)
+    raised = SurfaceMeasure.constant(1.5 * A0, grid, floor=A0)
+    with pytest.raises(ConfigError, match="flat design"):
+        generalized_supremum(solve_temperature(a, raised, demo_params, grid), 6 * A0 * LENGTH)
+    thick = RadiusProfile.constant(A0, grid, value=2 * A0)
+    with pytest.raises(ConfigError, match="flat design"):
+        generalized_supremum(solve_temperature(thick, b, demo_params, grid), 6 * A0 * LENGTH)
 
 
 # ---------------------------------------------------- directional derivative

@@ -154,7 +154,7 @@ def test_optimizer_recovers_bang_bang_structure():
     res = optimize(cfg)
     assert res.converged
     rep = verify_bang_structure(res)
-    assert rep.cells_between_bounds <= 1
+    assert res.cells_between_bounds <= 1
     assert rep.switch_error_cells <= 1.0
     assert rep.objective_relative_gap <= 1e-6
     # ascent and feasibility
@@ -294,8 +294,10 @@ def test_optimizer_kkt_structure_constant_h():
     T = solve_temperature(RadiusProfile.constant(A0, cfg.grid), b, cfg.params,
                           cfg.grid)
     g = flux_gradient_density(T)
-    upper = res.active_set == "upper"
-    lower = res.active_set == "lower"
+    tol_b = 1e-6 * (cfg.M - A0)
+    upper = b.density >= cfg.M - tol_b
+    lower = b.density <= A0 + tol_b
+    assert upper.any() and lower.any()
     scale = float(np.max(g))
     # multiplier separates the active sets: bound cells sit on the correct side
     mu_hi = float(np.min(g[upper]))
@@ -369,8 +371,9 @@ def test_excess_fraction_is_the_share_of_excess_surface(M):
     res = optimize(cfg)
     xm = cfg.grid.midpoints
     exc = (res.b_opt.density - A0) * cfg.grid.dx
-    for near in (xm <= 0.05 * ELL, np.abs(xm - 0.5 * ELL) <= 0.05 * ELL):
-        assert res.excess_fraction(near) == float(exc[near].sum() / exc.sum())
+    for center, near in ((0.0, xm <= 0.05 * ELL),
+                         (0.5 * ELL, np.abs(xm - 0.5 * ELL) <= 0.05 * ELL)):
+        assert res.excess_fraction(center) == float(exc[near].sum() / exc.sum())
 
 
 def test_infeasible_configurations_rejected():
@@ -392,16 +395,36 @@ def test_nondecreasing_is_relative_to_the_objective():
 
 def test_sweep_monotone_objectives():
     cfg = make_cfg(n=200, M=6.25e-3)
-    results = sweep_M(cfg, [6.25e-3, 12.5e-3, 25e-3, 50e-3])
+    results = list(sweep_M(cfg, [6.25e-3, 12.5e-3, 25e-3, 50e-3]))
     objs = [r.objective for r in results]
     assert all(o2 >= o1 * (1 - 1e-12) for o1, o2 in zip(objs, objs[1:]))
     sup = surface_supremum(A0, ELL, cfg.S0, cfg.params)
     assert all(o <= sup * 1.005 for o in objs)
     with pytest.raises(ConfigError):
         sweep_M(cfg, [12.5e-3, 6.25e-3])
-    with_free = sweep_M(cfg, [6.25e-3, 12.5e-3], include_uncapped=True)
+    with_free = list(sweep_M(cfg, [6.25e-3, 12.5e-3], include_uncapped=True))
     assert len(with_free) == 3
     assert with_free[-1].objective >= with_free[-2].objective
+
+
+def test_sweep_runs_each_cap_when_its_result_is_asked_for(monkeypatch):
+    runs = []
+    solve = optimizer.optimize
+    monkeypatch.setattr(optimizer, "optimize", lambda cfg: runs.append(cfg.M) or solve(cfg))
+    cfg = make_cfg(n=200, M=None)
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        sweep_M(cfg, [12.5e-3, 6.25e-3])
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        sweep_M(cfg, [6.25e-3, 6.25e-3])
+    assert runs == []
+    results = sweep_M(cfg, [6.25e-3, 12.5e-3], include_uncapped=True)
+    assert runs == []
+    first = next(results)
+    assert runs == [6.25e-3] and first.config.M == 6.25e-3
+    rest = list(results)
+    assert runs == [6.25e-3, 12.5e-3, None]
+    assert [r.config.M for r in rest] == [12.5e-3, None]
+    assert rest[-1].config.M is None
 
 
 def test_concentration_fraction_grows_with_the_cap():
@@ -417,7 +440,7 @@ def test_concentration_fraction_grows_with_the_cap():
     for M in (6.25e-3, 12.5e-3, 25e-3, 50e-3):
         cfg = OptimConfig(a0=A0, S0=S0, M=M, grid=grid, params=params)
         res = optimize(cfg)
-        fracs.append(res.excess_fraction(grid.midpoints <= 0.05 * ELL))
+        fracs.append(res.excess_fraction(0.0))
     assert all(f2 > f1 for f1, f2 in zip(fracs, fracs[1:]))
     assert fracs[-1] >= 0.9
 
