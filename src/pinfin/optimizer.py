@@ -11,7 +11,8 @@ Trial steps are spectral (Barzilai & Borwein, IMA J. Numer. Anal. 8, 1988)
 and are accepted against the smallest of the last few accepted objectives
 (Grippo, Lampariello & Lucidi, SIAM J. Numer. Anal. 23, 1986; Birgin,
 Martinez & Raydan, SIAM J. Optim. 10, 2000), so the objective may dip
-slightly between accepted steps.
+slightly between accepted steps.  A capped run first tries the bang-bang
+vertex that maximizes g.b (Frank & Wolfe, Nav. Res. Logist. Q. 3, 1956).
 """
 
 from dataclasses import dataclass, field, replace
@@ -125,6 +126,18 @@ def project_box_budget(v: np.ndarray, lo: float, hi: float, budget: float,
     return np.clip(v - mu, lo, hi)
 
 
+def bang_vertex(g: np.ndarray, lo: float, hi: float, budget: float, dx: float) -> np.ndarray:
+    """Maximizer of g.b, g >= 0, over {lo <= b <= hi < inf, dx * sum(b) <= budget}."""
+    excess = max(budget / dx - lo * g.size, 0.0)
+    full = min(int(excess // (hi - lo)), g.size - 1)   # cells at the cap, largest g first
+    t = np.sort(g)[g.size - 1 - full]                  # g of the one partly filled cell
+    tied = np.flatnonzero(g == t)[:full + 1 - np.count_nonzero(g > t)]   # lower index first
+    b = np.where(g > t, hi, lo)                        # the cap above t, the floor below
+    b[tied] = hi
+    b[tied[-1]] = min(lo + (excess - full * (hi - lo)), hi)
+    return b
+
+
 def optimize(cfg: OptimConfig) -> OptimResult:
     """Maximize the relaxed flux over the box-and-budget density set."""
     grid, a0, dx = cfg.grid, cfg.a0, cfg.grid.dx
@@ -148,8 +161,10 @@ def optimize(cfg: OptimConfig) -> OptimResult:
     for it in range(1, cfg.max_iters + 1):
         accepted = False
         reference = min(trace[-NONMONOTONE_MEMORY:])
-        for _ in range(60):
-            b_new = project_box_budget(b + step * g, a0, hi, cfg.S0, dx)
+        vertex = it == 1 and cfg.M is not None     # the first trial of a capped run
+        for _ in range(60 + vertex):
+            b_new = (bang_vertex(g, a0, hi, cfg.S0, dx) if vertex
+                     else project_box_budget(b + step * g, a0, hi, cfg.S0, dx))
             d = b_new - b
             if float(np.max(np.abs(d))) <= MOVE_TOL * a0:
                 break
@@ -157,7 +172,7 @@ def optimize(cfg: OptimConfig) -> OptimResult:
             if F_new >= reference + ARMIJO * float(np.dot(g, d)):
                 accepted = True
                 break
-            step *= 0.5
+            step, vertex = (step if vertex else 0.5 * step), False   # no halving for the vertex
         if not accepted:
             stop_reason = "line_search"
             break

@@ -6,7 +6,7 @@ import pytest
 import yaml
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 
 from pinfin import (ConfigError, Grid, OptimConfig, PhysicalParams,
                     bang_density, heat_flux_relaxed, optimize,
@@ -147,6 +147,49 @@ def test_projection_matches_quadratic_program_oracle():
         assert np.max(np.abs(mine - res.x)) <= 2e-6
 
 
+@st.composite
+def vertex_inputs(draw):
+    n = draw(st.integers(1, 40))
+    lo = draw(st.floats(1e-3, 10.0))
+    hi = lo * draw(st.floats(1.01, 20.0))
+    # few levels give tied gradients; zero is a level the flux gradient can
+    # take (HiGHS, the oracle, reads costs below about 1e-9 as zero)
+    levels = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+                           min_size=1, max_size=n))
+    g = np.array(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)))
+    dx = draw(st.floats(1e-3, 1.0))
+    budget = lo * n * dx + draw(st.floats(0.0, 1.0)) * (hi - lo) * n * dx
+    return g, lo, hi, budget, dx
+
+
+@given(vertex_inputs())
+def test_bang_vertex_is_the_linear_programs_maximizer(inputs):
+    g, lo, hi, budget, dx = inputs
+    b = optimizer.bang_vertex(*inputs)
+    assert np.all(b >= lo) and np.all(b <= hi)
+    assert dx * b.sum() <= budget * (1 + 1e-12)
+    assert np.count_nonzero((b > lo) & (b < hi)) <= 1
+    # greedy in g, ties to the lower index: b never rises along that order
+    assert np.all(np.diff(b[np.lexsort((np.arange(g.size), -g))]) <= 0.0)
+    # the oracle solves in units of lo and dx: HiGHS's tolerances are absolute
+    oracle = linprog(-g, A_ub=np.ones((1, g.size)), b_ub=[budget / (lo * dx)],
+                     bounds=[(1.0, hi / lo)] * g.size, method="highs",
+                     options={"presolve": False, "primal_feasibility_tolerance": 1e-10})
+    assert oracle.status == 0
+    assert float(g @ b) == pytest.approx(-oracle.fun * lo, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("g, budget, expected", [
+    ([1.0, 3.0, 3.0, 2.0], 6.5, [1.0, 3.0, 1.5, 1.0]),    # tie: the lower index fills first
+    ([2.0, 2.0, 2.0], 3.0, [1.0, 1.0, 1.0]),              # budget at the floor
+    ([2.0, 5.0, 1.0], 9.0, [3.0, 3.0, 3.0]),              # budget at the cap
+    ([0.0, 0.0], 3.0, [2.0, 1.0]),                        # zero gradient
+], ids=["tie", "floor", "cap", "zero"])
+def test_bang_vertex_edge_cases(g, budget, expected):
+    b = optimizer.bang_vertex(np.array(g), 1.0, 3.0, budget, 1.0)
+    assert np.array_equal(b, expected)
+
+
 # ------------------------------------------------------------- optimizer
 
 def test_optimizer_recovers_bang_bang_structure():
@@ -165,7 +208,9 @@ def test_optimizer_recovers_bang_bang_structure():
 
 
 def test_converged_means_the_residual_met_its_tolerance():
-    cfg = make_cfg(max_iters=3)
+    # uncapped: a capped constant-h run starts at its bang-bang vertex and
+    # meets its tolerance in two iterations
+    cfg = make_cfg(M=None, max_iters=3)
     res = optimize(cfg)
     assert res.stop_reason == "max_iters" and res.n_iterations == 3
     assert res.pg_residual > cfg.pg_tol and not res.converged
@@ -185,10 +230,24 @@ def assert_best_objective_returned(res):
 
 @pytest.mark.parametrize("M", [6.25e-3, 12.5e-3, 25e-3, 50e-3])
 def test_spectral_steps_converge_in_few_iterations(M):
-    res = optimize(make_cfg(n=500, M=M))
-    assert res.converged
-    assert res.n_iterations <= 40
-    assert_best_objective_returned(res)
+    # constant h: the bang-bang optimum is the vertex of the first gradient,
+    # so a capped run's first trial lands on it (spectral steps alone, from
+    # the uniform start, took 11 to 16 iterations)
+    for n in (500, 4096):
+        res = optimize(make_cfg(n=n, M=M))
+        assert res.converged and res.n_iterations <= 3
+        assert_best_objective_returned(res)
+
+
+@pytest.mark.parametrize("M", [12.5e-3, None])
+def test_only_a_capped_run_tries_the_bang_vertex(monkeypatch, M):
+    calls = []
+    vertex = optimizer.bang_vertex
+    monkeypatch.setattr(optimizer, "bang_vertex",
+                        lambda *args: calls.append(args) or vertex(*args))
+    res = optimize(make_cfg(M=M))
+    assert res.n_iterations > 1
+    assert len(calls) == (0 if M is None else 1)
 
 
 def test_nonmonotone_search_converges_on_step_convection():
@@ -200,18 +259,21 @@ def test_nonmonotone_search_converges_on_step_convection():
     assert_best_objective_returned(res)
 
 
-def uncapped(path):
+def run_config(path, first_cap=False):
+    """The config's run without its cap, or at its first (smallest) cap."""
     cfg = load_config(path)
-    return optimize(cfg.optim_config(None, cfg.grid()))
+    return optimize(cfg.optim_config(cfg.M_list[0] if first_cap else None, cfg.grid()))
 
 
-shipped_uncapped = functools.cache(lambda name: uncapped(CONFIGS / name))
+@functools.cache
+def shipped_run(name, first_cap=False):
+    return run_config(CONFIGS / name, first_cap)
 
 
 def test_step_convection_uncapped_stops_on_its_certificate():
     # its objective stops rising before iteration 100 and then alternates by
     # 8e-15 relative; run to 20000 iterations, it ends on this objective
-    res = shipped_uncapped("step_h.yaml")
+    res = shipped_run("step_h.yaml")
     assert res.stop_reason == "kkt" and res.n_iterations <= 50
     assert res.converged and res.pg_residual <= res.config.pg_tol
     assert res.objective == pytest.approx(0.0013976394756266954, rel=1e-12, abs=0.0)
@@ -253,17 +315,18 @@ def scaled_yaml(name, scaling, j):
                                   "step_h.yaml", "verify.yaml"])
 def test_status_is_invariant_under_the_models_scalings(tmp_path, name, scaling, j):
     # the iterates scale exactly under these scalings, so a unit-free status
-    # must not change at all
-    base = shipped_uncapped(name)
+    # must not change at all, uncapped or from a capped run's bang-bang vertex
     p = tmp_path / name
     p.write_text(yaml.safe_dump(scaled_yaml(name, scaling, j)))
-    res = uncapped(p)
     b_scale = 2.0 ** j if scaling == "lengths" else 1.0
     F_scale = 1.0 if scaling == "shift" else 2.0 ** j
-    assert np.array_equal(res.b_opt.density, base.b_opt.density * b_scale)
-    assert res.objective == base.objective * F_scale
-    assert (res.n_iterations, res.stop_reason) == (base.n_iterations, base.stop_reason)
-    assert (res.converged, res.pg_residual) == (base.converged, base.pg_residual)
+    for first_cap in (False, True):
+        base, res = shipped_run(name, first_cap), run_config(p, first_cap)
+        assert res.config.M == (base.config.M * b_scale if first_cap else None)
+        assert np.array_equal(res.b_opt.density, base.b_opt.density * b_scale)
+        assert res.objective == base.objective * F_scale
+        assert (res.n_iterations, res.stop_reason) == (base.n_iterations, base.stop_reason)
+        assert (res.converged, res.pg_residual) == (base.converged, base.pg_residual)
 
 
 @pytest.mark.parametrize("name", ["constant_h.yaml", "increasing_h.yaml"])
