@@ -29,7 +29,7 @@ from .functionals import flux_report, surface_supremum
 from .io import format_column, write_json, write_table
 from .optimizer import (OptimResult, nondecreasing, optimize, sweep_M,
                         verify_bang_structure)
-from .profiles import enforce_surface_bound, excess_surface
+from .profiles import enforce_surface_bound
 from .sequences import bang_density, switch_point
 from .solver import solve_temperature
 from .verification import default_config, run_verification
@@ -64,8 +64,6 @@ def _parser() -> argparse.ArgumentParser:
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else default_config()
     overrides = {k: v for k, v in vars(args).items() if k in ("n_cells", "out_format", "seed")}
-    if cfg.S0 is not None:   # every command refuses a budget below the floor
-        excess_surface(cfg.S0, cfg.a0, cfg.length)
     # replace() re-runs the config's own checks on the overridden values
     return replace(cfg, **overrides)
 
@@ -208,7 +206,10 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
         cfg = _load(args)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {out}: {exc}")
         handler = {
             "solve": cmd_solve,
             "optimize": cmd_optimize,

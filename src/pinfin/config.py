@@ -18,7 +18,7 @@ from .errors import ConfigError
 from .grid import Grid
 from .optimizer import OptimConfig
 from .physics import H_FLOOR, PhysicalParams
-from .profiles import RadiusProfile, SurfaceMeasure
+from .profiles import RadiusProfile, SurfaceMeasure, excess_surface
 from .sequences import oscillating_profile, step_density
 
 MM = 1e-3
@@ -212,9 +212,14 @@ class ExperimentConfig:
         floor = self.a0 * self.length
         if self.S0 is not None and floor * (1.0 - 1e-12) <= self.S0 < floor:
             self.S0 = floor   # a budget within round-off of the floor is the floor
+        if self.S0 is not None:   # one further below is refused
+            excess_surface(self.S0, self.a0, self.length)
         # build what the commands build, so a bad section fails here, before any work
         self.params()
-        self.design(self.grid())
+        try:
+            self.design(self.grid())
+        except MemoryError:
+            raise ConfigError(f"n_cells = {self.n_cells}: too many cells to allocate")
 
     def cap(self) -> float | None:
         """The one cap of a single run: M_mm, else the largest of M_list_mm."""
@@ -273,9 +278,11 @@ class ExperimentConfig:
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
-        raw = yaml.load(path.read_text(), Loader=_ConfigLoader)
+        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_ConfigLoader)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read the config: {exc}")
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: YAML parse error: {exc}")
     if not isinstance(raw, dict):

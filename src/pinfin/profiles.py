@@ -14,6 +14,21 @@ from .errors import ConfigError
 from .grid import Grid
 
 
+def _above_floor(values, floor: float, min_size: int, what: str) -> np.ndarray:
+    """``values`` checked against a positive ``floor``; round-off below it is clamped in place."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size < min_size:
+        raise ConfigError(f"{what} must be a 1-D array of at least {min_size} values")
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{what} contains non-finite values")
+    if not (floor > 0.0):
+        raise ConfigError(f"{what} floor must be positive, got {floor}")
+    if np.any(values < floor * (1.0 - 1e-12)):
+        raise ConfigError(f"{what} drops below its floor {floor} "
+                          f"(min value {float(np.min(values))})")
+    return np.maximum(values, floor, out=values)
+
+
 @dataclass
 class RadiusProfile:
     """Radius sampled at grid nodes, with the collapse floor ``a0``."""
@@ -23,19 +38,7 @@ class RadiusProfile:
     length: float
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 1 or self.values.size < 3:
-            raise ConfigError("radius profile must be a 1-D array of node values")
-        if not np.all(np.isfinite(self.values)):
-            raise ConfigError("radius profile contains non-finite values")
-        if not (self.a0 > 0.0):
-            raise ConfigError(f"radius floor a0 must be positive, got {self.a0}")
-        # tiny negative excursions from roundoff are clamped, real ones rejected
-        if np.any(self.values < self.a0 * (1.0 - 1e-12)):
-            raise ConfigError(
-                f"radius drops below the floor a0={self.a0} "
-                f"(min value {float(np.min(self.values))})")
-        np.maximum(self.values, self.a0, out=self.values)
+        self.values = _above_floor(self.values, self.a0, 3, "radius profile")
 
     @classmethod
     def constant(cls, a0: float, grid: Grid, value: float | None = None):
@@ -68,18 +71,7 @@ class SurfaceMeasure:
     atoms: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        self.density = np.asarray(self.density, dtype=float)
-        if self.density.ndim != 1 or self.density.size < 2:
-            raise ConfigError("surface density must be a 1-D array of cell values")
-        if not np.all(np.isfinite(self.density)):
-            raise ConfigError("surface density contains non-finite values")
-        if not (self.floor > 0.0):
-            raise ConfigError(f"surface density floor must be positive, got {self.floor}")
-        if np.any(self.density < self.floor * (1.0 - 1e-12)):
-            raise ConfigError(
-                f"surface density drops below its floor {self.floor} "
-                f"(min value {float(np.min(self.density))})")
-        np.maximum(self.density, self.floor, out=self.density)
+        self.density = _above_floor(self.density, self.floor, 2, "surface density")
         atoms = []
         for pos, mass in self.atoms:
             if not (0.0 <= pos <= self.length):

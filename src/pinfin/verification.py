@@ -89,33 +89,28 @@ def check_closed_form(cfg: ExperimentConfig) -> Item:
                 f"refinement ratios {['%.2f' % r for r in ratios]}")
 
 
+def _random_solves(cfg: ExperimentConfig, seed: int, count: int):
+    """Solves on ``count`` random profiles of ``cfg``'s grid, drawn from ``seed``."""
+    params, grid, rng = cfg.params(), cfg.grid(), np.random.default_rng(seed)
+    for _ in range(count):
+        yield solve_temperature(*random_pair(rng, cfg.a0, grid), params, grid)
+
+
 def check_flux_identity(cfg: ExperimentConfig, seed: int) -> Item:
-    params = cfg.params()
-    grid = cfg.grid()
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(50):
-        a, b = random_pair(rng, cfg.a0, grid)
-        T = solve_temperature(a, b, params, grid)
-        worst = max(worst, flux_report(T).relative_gap)
+    worst = max(flux_report(T).relative_gap for T in _random_solves(cfg, seed, 50))
     return Item("flux_identity", worst <= 1e-10, False, worst, 1e-10,
                 "max relative boundary/integral gap over 50 random profiles")
 
 
 def check_temperature_bounds(cfg: ExperimentConfig, seed: int) -> Item:
     params = cfg.params()
-    grid = cfg.grid()
-    dT = params.delta_T
-    tol = 1e-10 * dT
-    rng = np.random.default_rng(seed + 1)
+    tol = 1e-10 * params.delta_T
     worst = 0.0
-    for _ in range(100):
-        a, b = random_pair(rng, cfg.a0, grid)
-        T = solve_temperature(a, b, params, grid).values
+    for T in _random_solves(cfg, seed + 1, 100):
         worst = max(worst,
-                    float(np.max(T) - params.T_d),
-                    float(params.T_inf - np.min(T)),
-                    float(np.max(np.diff(T))))
+                    float(np.max(T.values) - params.T_d),
+                    float(params.T_inf - np.min(T.values)),
+                    float(np.max(np.diff(T.values))))
     return Item("temperature_bounds", worst <= tol, False, worst, tol,
                 "max violation of T_inf <= T <= T_d and monotone decrease, "
                 "100 random profiles")
@@ -166,7 +161,6 @@ def check_gradient(cfg: ExperimentConfig, seed: int) -> Item:
     grid = cfg.grid(min(cfg.n_cells, 1024))
     a = RadiusProfile.constant(cfg.a0, grid)
     rng = np.random.default_rng(seed + 2)
-    S0 = cfg.S0 or 6 * cfg.a0 * cfg.length
     worst = 0.0
     for _ in range(20):
         dens = cfg.a0 * (1.0 + rng.uniform(0.0, 4.0, grid.n_cells))
@@ -187,7 +181,7 @@ def check_gradient(cfg: ExperimentConfig, seed: int) -> Item:
             worst = max(worst, abs(fd - g[i]) / max(abs(g[i]), 1e-300))
     return Item("gradient_check", worst <= 1e-4, False, worst, 1e-4,
                 "max relative error of analytic vs central-difference gradient, "
-                f"20 random densities (S0 context {S0:g})")
+                "20 random densities")
 
 
 def check_swap_derivative() -> Item:
@@ -210,7 +204,8 @@ def check_swap_derivative() -> Item:
     rem = np.clip(np.minimum(x[1:], x0 + eps / 2) - np.maximum(x[:-1], x0 - eps / 2),
                   0, None)
     b_eps = SurfaceMeasure(b.density + c * (add - rem) / grid.dx, a0, length)
-    fd = (heat_flux_relaxed(solve_temperature(a, b_eps, params, grid)) - F0) / eps
+    system = T0.system   # b_eps keeps the radius, so it is solved on the same kernel
+    fd = (system.relaxed_flux(system.excess(b_eps.density), b_eps.density) - F0) / eps
     err = abs(fd - ana) / abs(ana)
     return Item("swap_derivative", err <= 1e-3, False, err, 1e-3,
                 f"swap quotient {fd:.6e} vs closed form {ana:.6e} at eps=1e-3 L")
@@ -290,7 +285,9 @@ def check_concentration(cfg: ExperimentConfig) -> Item:
 
 
 def check_surface_bound(cfg: ExperimentConfig, seed: int) -> Item:
-    S0 = cfg.S0 or 6 * cfg.a0 * cfg.length
+    S0 = cfg.S0
+    if S0 is None:
+        return _skip("surface_bound", "requires a surface budget")
     grid = cfg.grid(min(cfg.n_cells, 2048))
     bound = admissible_radius_bound(S0, cfg.length)
     rng = np.random.default_rng(seed + 3)
@@ -317,7 +314,9 @@ def check_surface_bound(cfg: ExperimentConfig, seed: int) -> Item:
 def check_generalized_supremum(cfg: ExperimentConfig) -> Item:
     if cfg.h_profile.is_constant:
         return _skip("generalized_supremum", "reduces to the constant-h formula")
-    S0 = cfg.S0 or 6 * cfg.a0 * cfg.length
+    S0 = cfg.S0
+    if S0 is None:
+        return _skip("generalized_supremum", "requires a surface budget")
     if excess_surface(S0, cfg.a0, cfg.length) == 0.0:
         return _skip("generalized_supremum", "S0 = a0 L leaves no excess surface")
     grid = cfg.grid(min(cfg.n_cells, 8192))

@@ -3,7 +3,7 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ from pinfin.errors import ConfigError
 from pinfin.io import format_column, write_table
 from pinfin.solver import FinSystem
 from pinfin.verification import (check_concentration, check_generalized_supremum,
-                                 default_config)
+                                 check_swap_derivative, default_config)
 from table_io import read_table
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -87,10 +87,8 @@ def test_config_errors_name_the_field(tmp_path):
 def test_config_reads_yaml_1_2_floats(tmp_path, spelling, value):
     # PyYAML's YAML 1.1 resolver loads each of these spellings as a string
     p = write_cfg(tmp_path)
-    p.write_text(p.read_text().replace("S0_times_a0_length: 6.0",
-                                       f"S0_times_a0_length: {spelling}"))
-    cfg = load_config(p)
-    assert cfg.S0 == value * cfg.a0 * cfg.length
+    p.write_text(p.read_text().replace("  k: 10.0\n", f"  k: {spelling}\n"))
+    assert load_config(p).k == value
 
 
 def test_config_rejects_a_quoted_number(tmp_path):
@@ -414,6 +412,35 @@ def test_missing_config_returns_config_error_code(tmp_path):
                  "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("case", ["config_is_a_directory", "config_not_utf8", "out_is_a_file",
+                                  "out_under_a_file", "n_cells_in_config", "n_cells_flag"])
+def test_bad_outside_input_is_one_config_error_line(tmp_path, capsys, case):
+    # numpy refuses the 7 PiB grid of 10**15 cells at once, so nothing is allocated
+    config, out = write_cfg(tmp_path), tmp_path / "o"
+    (tmp_path / "file").write_text("kept")
+    extra = []
+    if case == "config_is_a_directory":
+        config = tmp_path / "dir.yaml"
+        config.mkdir()
+    elif case == "config_not_utf8":
+        config.write_bytes(config.read_bytes() + b"# \xff\xfe\n")
+    elif case in ("out_is_a_file", "out_under_a_file"):
+        out = tmp_path / "file" / ("sub" if case == "out_under_a_file" else "")
+    elif case == "n_cells_in_config":
+        config = write_cfg(tmp_path, numerics={"n_cells": 10 ** 15})
+    else:
+        extra = ["--n-cells", str(10 ** 15)]
+    before = sorted(tmp_path.rglob("*"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", "--config", str(config), "--out", str(out), *extra])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("config error: ") and len(captured.err.splitlines()) == 1
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "file").read_text() == "kept"
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("numerics", "n_cells", "abc"),
     ("numerics", "n_cells", 4096.7),
@@ -692,6 +719,17 @@ def test_generalized_supremum_item_solves_the_flat_design_once(monkeypatch):
     assert len(built) == 1
 
 
+def test_swap_derivative_item_solves_on_one_kernel(monkeypatch):
+    # the perturbed density keeps the radius, so its solve reuses the base kernel
+    built = []
+    init = FinSystem.__init__
+    monkeypatch.setattr(FinSystem, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    item = check_swap_derivative()
+    assert item.passed and not item.skipped
+    assert len(built) == 1
+
+
 FLOOR_PHYSICS = {"k": 10.0, "h": {"kind": "affine", "start": 20.0, "end": 10.0},
                  "h_r": "h(l)", "T_d": 10.0, "T_inf": 0.0}
 
@@ -716,6 +754,32 @@ def test_a_budget_below_the_floor_is_refused_by_every_command(tmp_path, capsys):
     p = write_cfg(tmp_path, physics=FLOOR_PHYSICS,
                   constraint={"kind": "surface", "S0_mm2": 99.9999, "M_list_mm": [12.5, 25.0]})
     assert_every_command_refuses(tmp_path, capsys, p, "below the floor surface a0 L")
+
+
+def test_a_budget_below_the_floor_is_refused_at_load(tmp_path):
+    # the config owns the rule, so no caller receives a budget no command accepts
+    p = write_cfg(tmp_path, constraint={"kind": "surface", "S0_mm2": 99.9999})
+    with pytest.raises(ConfigError, match="below the floor surface"):
+        load_config(p)
+    cfg = default_config()
+    with pytest.raises(ConfigError, match="below the floor surface"):
+        replace(cfg, S0=0.5 * cfg.a0 * cfg.length)
+
+
+def test_verify_without_a_budget_invents_none(tmp_path, capsys):
+    # a volume budget states no S0: the items that need one skip, and no detail names one
+    raw = yaml.safe_load((CONFIGS / "decreasing_h.yaml").read_text())
+    raw["constraint"] = {"kind": "volume"}
+    p = tmp_path / "volume.yaml"
+    p.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "v"
+    assert main(["verify", "--config", str(p), "--out", str(out)]) == 0
+    items = {i["name"]: i for i in json.loads((out / "verify_report.json").read_text())["items"]}
+    for name in ("surface_bound", "generalized_supremum"):
+        assert items[name]["skipped"] and items[name]["detail"] == "requires a surface budget"
+    assert not items["gradient_check"]["skipped"]
+    assert "S0" not in items["gradient_check"]["detail"]
+    assert "S0" not in capsys.readouterr().out
 
 
 def test_verify_takes_the_cap_list_in_any_order(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import functools
+import json
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from pinfin import (ConfigError, Grid, OptimConfig, PhysicalParams,
                     project_box_budget, surface_supremum, sweep_M,
                     verify_bang_structure)
 from pinfin import optimizer
+from pinfin.cli import main
 from pinfin.config import load_config
 from pinfin.functionals import flux_gradient_density
 from pinfin.profiles import RadiusProfile
@@ -327,6 +329,36 @@ def test_status_is_invariant_under_the_models_scalings(tmp_path, name, scaling, 
         assert res.objective == base.objective * F_scale
         assert (res.n_iterations, res.stop_reason) == (base.n_iterations, base.stop_reason)
         assert (res.converged, res.pg_residual) == (base.converged, base.pg_residual)
+
+
+SWEEP_STATUS = ("converged", "pg_residual", "stop_reason", "iterations",
+                "cells_between_bounds", "switch_measured_m")
+
+
+@pytest.mark.parametrize("j", [-20, 10])
+@pytest.mark.parametrize("name", ["constant_h.yaml", "decreasing_h.yaml", "increasing_h.yaml",
+                                  "step_h.yaml", "verify.yaml"])
+def test_sweep_files_are_invariant_when_k_and_h_scale(tmp_path, name, j):
+    # k, h and h_r by 2**j leave beta and so every design and temperature bit
+    # for bit; only the fluxes scale, exactly, by the power of two
+    p = tmp_path / name
+    p.write_text(yaml.safe_dump(scaled_yaml(name, "conductances", j)))
+    base, scaled = tmp_path / "base", tmp_path / "scaled"
+    assert main(["sweep", "--config", str(CONFIGS / name), "--out", str(base)]) == 0
+    assert main(["sweep", "--config", str(p), "--out", str(scaled)]) == 0
+    tables = sorted(f.name for pattern in ("b_opt*", "a_opt*", "T_opt*")
+                    for f in base.glob(pattern))
+    assert tables and tables == sorted(f.name for pattern in ("b_opt*", "a_opt*", "T_opt*")
+                                       for f in scaled.glob(pattern))
+    for table in tables:
+        assert (scaled / table).read_bytes() == (base / table).read_bytes(), table
+    runs = [json.loads((out / "sweep_summary.json").read_text())["runs"]
+            for out in (base, scaled)]
+    assert len(runs[0]) == len(runs[1]) > 0
+    for mine, theirs in zip(*runs):
+        # an uncapped run has no switch
+        assert [theirs.get(key) for key in SWEEP_STATUS] == [mine.get(key) for key in SWEEP_STATUS]
+        assert theirs["objective_W"] == mine["objective_W"] * 2.0 ** j
 
 
 @pytest.mark.parametrize("name", ["constant_h.yaml", "increasing_h.yaml"])

@@ -145,6 +145,27 @@ def test_input_validation(demo_params):
                           demo_params, grid)
 
 
+@pytest.mark.parametrize("kind, field, size", [(RadiusProfile, "values", 3),
+                                               (SurfaceMeasure, "density", 2)],
+                         ids=["radius", "density"])
+def test_sampled_profiles_share_one_floor_rule(kind, field, size):
+    # a radius needs one node more than a density has cells; past that the
+    # rule and its wording are one
+    ones = np.ones(size)
+    faults = [(np.ones((size, size)), 1.0, f"a 1-D array of at least {size} values"),
+              (ones[1:], 1.0, f"a 1-D array of at least {size} values"),
+              (np.r_[ones, np.nan], 1.0, "contains non-finite values"),
+              (ones, 0.0, "floor must be positive, got 0.0"),
+              (ones, -1.0, "floor must be positive, got -1.0"),
+              (np.r_[ones, 1.0 - 1e-9], 1.0, "drops below its floor 1.0")]
+    for values, floor, message in faults:
+        with pytest.raises(ConfigError, match=message):
+            kind(values, floor, LENGTH)
+    dip = np.r_[ones, 1.0 - 1e-13] * A0
+    clamped = getattr(kind(dip, A0, LENGTH), field)
+    assert clamped.min() == A0 and np.array_equal(clamped[:-1], dip[:-1])
+
+
 @pytest.mark.parametrize("x", [0.03, np.array(0.03), np.linspace(0.0, LENGTH, 7)])
 def test_constant_h_beta_is_the_array_expression_bitwise(x):
     params = PhysicalParams(k=0.7, h=10.0 / 3.0, h_r=1.0, T_d=10.0, T_inf=0.0)
