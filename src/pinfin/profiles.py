@@ -19,14 +19,14 @@ def _above_floor(values, floor: float, min_size: int, what: str) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < min_size:
         raise ConfigError(f"{what} must be a 1-D array of at least {min_size} values")
-    if not np.all(np.isfinite(values)):
+    lo, hi = values.min(), values.max()     # NaN and +-inf always reach one of them
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ConfigError(f"{what} contains non-finite values")
     if not (floor > 0.0):
         raise ConfigError(f"{what} floor must be positive, got {floor}")
-    if np.any(values < floor * (1.0 - 1e-12)):
-        raise ConfigError(f"{what} drops below its floor {floor} "
-                          f"(min value {float(np.min(values))})")
-    return np.maximum(values, floor, out=values)
+    if lo < floor * (1.0 - 1e-12):
+        raise ConfigError(f"{what} drops below its floor {floor} (min value {float(lo)})")
+    return np.maximum(values, floor, out=values) if lo < floor else values
 
 
 @dataclass

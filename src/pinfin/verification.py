@@ -14,6 +14,7 @@ else runs on the supplied configuration.
 """
 
 from dataclasses import dataclass
+from random import Random
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .optimizer import nondecreasing, optimize, sweep_M, verify_bang_structure
 from .physics import PhysicalParams
 from .profiles import (RadiusProfile, SurfaceMeasure, admissible_radius_bound,
                        excess_surface)
-from .randoms import random_pair, random_radius
+from .randoms import random_pair, random_radius, uniforms
 from .sequences import (oscillating_profile, oscillating_radius, step_density,
                         volume_constrained_design)
 from .solver import closed_form_temperature, solve_temperature
@@ -91,7 +92,7 @@ def check_closed_form(cfg: ExperimentConfig) -> Item:
 
 def _random_solves(cfg: ExperimentConfig, seed: int, count: int):
     """Solves on ``count`` random profiles of ``cfg``'s grid, drawn from ``seed``."""
-    params, grid, rng = cfg.params(), cfg.grid(), np.random.default_rng(seed)
+    params, grid, rng = cfg.params(), cfg.grid(), Random(seed)
     for _ in range(count):
         yield solve_temperature(*random_pair(rng, cfg.a0, grid), params, grid)
 
@@ -160,14 +161,14 @@ def check_gradient(cfg: ExperimentConfig, seed: int) -> Item:
     params = cfg.params()
     grid = cfg.grid(min(cfg.n_cells, 1024))
     a = RadiusProfile.constant(cfg.a0, grid)
-    rng = np.random.default_rng(seed + 2)
+    rng = Random(seed + 2)
     worst = 0.0
     for _ in range(20):
-        dens = cfg.a0 * (1.0 + rng.uniform(0.0, 4.0, grid.n_cells))
+        dens = cfg.a0 * (1.0 + 4.0 * uniforms(rng, grid.n_cells))
         T = solve_temperature(a, SurfaceMeasure(dens, cfg.a0, cfg.length), params, grid)
         g = flux_gradient_density(T) * grid.dx
         system = T.system
-        for i in rng.choice(grid.n_cells, size=min(4, grid.n_cells), replace=False):
+        for i in rng.sample(range(grid.n_cells), min(4, grid.n_cells)):
             # nearly quadratic in each b_i: a generous step avoids the
             # roundoff floor without truncation bias
             h_fd = 1e-1 * cfg.a0
@@ -290,7 +291,7 @@ def check_surface_bound(cfg: ExperimentConfig, seed: int) -> Item:
         return _skip("surface_bound", "requires a surface budget")
     grid = cfg.grid(min(cfg.n_cells, 2048))
     bound = admissible_radius_bound(S0, cfg.length)
-    rng = np.random.default_rng(seed + 3)
+    rng = Random(seed + 3)
     worst = 0.0
     checked = 0
     for _ in range(50):

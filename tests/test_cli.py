@@ -854,22 +854,24 @@ if "numpy.random" in sys.modules:
     print(json.dumps(None))
     sys.exit()
 import pinfin.cli
-config, out = sys.argv[1:]
-codes = [pinfin.cli.main([cmd, "--config", config, "--out", f"{out}/{cmd}",
-                          "--n-cells", "64"])
+configs, out = sys.argv[1:]
+codes = [pinfin.cli.main([cmd, "--config", f"{configs}/constant_h.yaml",
+                          "--out", f"{out}/{cmd}", "--n-cells", "64"])
          for cmd in ("solve", "optimize", "sweep", "sequence")]
+# verify at its own 4096 cells, where every item passes
+codes.append(pinfin.cli.main(["verify", "--config", f"{configs}/verify.yaml",
+                              "--out", f"{out}/verify"]))
 print(json.dumps({"codes": codes,
                   "loaded": [m for m in ("numpy.random", "_hashlib") if m in sys.modules]}))
 """
 
 
-def test_only_verify_imports_numpy_random(tmp_path):
+def test_no_command_imports_numpy_random(tmp_path):
     # a fresh interpreter: another test may already have imported numpy.random
-    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE,
-                          str(CONFIGS / "constant_h.yaml"), str(tmp_path)],
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(CONFIGS), str(tmp_path)],
                          capture_output=True, text=True, check=True,
                          cwd=CONFIGS.parent / "src")
     seen = json.loads(out.stdout.splitlines()[-1])
     if seen is None:
         pytest.skip(f"numpy {np.__version__} imports numpy.random with numpy itself")
-    assert seen == {"codes": [0, 0, 0, 0], "loaded": []}
+    assert seen == {"codes": [0, 0, 0, 0, 0], "loaded": []}

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from random import Random
 from types import SimpleNamespace
 
 import numpy as np
@@ -76,7 +77,7 @@ def test_atom_on_volume_face_splits_evenly(demo_params):
 
 
 def test_maximum_principle_on_random_profiles(demo_params):
-    rng = np.random.default_rng(42)
+    rng = Random(42)
     grid = Grid(LENGTH, 300)
     dT = demo_params.delta_T
     for _ in range(30):
@@ -155,7 +156,12 @@ def test_sampled_profiles_share_one_floor_rule(kind, field, size):
     faults = [(np.ones((size, size)), 1.0, f"a 1-D array of at least {size} values"),
               (ones[1:], 1.0, f"a 1-D array of at least {size} values"),
               (np.r_[ones, np.nan], 1.0, "contains non-finite values"),
-              (ones, 0.0, "floor must be positive, got 0.0"),
+              # non-finite is refused first, whatever else is wrong
+              (np.r_[0.5, ones, np.nan], 1.0, "contains non-finite values"),
+              (np.r_[ones, np.nan], 0.0, "contains non-finite values"),
+              (np.r_[ones, np.inf], 1.0, "contains non-finite values"),
+              (np.r_[-np.inf, ones], 1.0, "contains non-finite values"),
+              (ones, 0.0,"floor must be positive, got 0.0"),
               (ones, -1.0, "floor must be positive, got -1.0"),
               (np.r_[ones, 1.0 - 1e-9], 1.0, "drops below its floor 1.0")]
     for values, floor, message in faults:
