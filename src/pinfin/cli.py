@@ -133,7 +133,7 @@ def cmd_optimize(cfg: ExperimentConfig, out: Path) -> int:
     grid = cfg.grid()
     M = None if cfg.drop_cap else cfg.cap()
     if M is None and not cfg.drop_cap:
-        raise ConfigError("constraint: need M_mm / M_list_mm, or drop_cap: true")
+        raise ConfigError("constraint: need M_list_mm, or drop_cap: true")
     _write_optim(cfg, optimize(cfg.optim_config(M, grid)), out,
                  format_column(grid.nodes), format_column(grid.midpoints))
     return 0

@@ -19,18 +19,16 @@ from .grid import Grid
 from .optimizer import OptimConfig
 from .physics import H_FLOOR, PhysicalParams
 from .profiles import RadiusProfile, SurfaceMeasure, excess_surface
-from .sequences import oscillating_profile, step_density
+from .sequences import oscillating_profile, step_density, switch_point
 
 MM = 1e-3
-MM2 = 1e-6
 # every key a config may hold, by section and by kind of a section or of physics.h
 KEYS = {
     "geometry": ("a0_mm", "length_mm"),
     "physics": ("k", "h", "h_r", "T_d", "T_inf"),
-    "constraint": {"surface": ("S0_mm2", "S0_times_a0_length", "M_mm", "M_list_mm", "drop_cap"),
-                   "volume": ()},
+    "constraint": {"surface": ("S0_times_a0_length", "M_list_mm", "drop_cap"), "volume": ()},
     "profile": {"constant": (), "cone": ("tip_mm",),
-                "oscillating": ("S_mm2", "S_times_a0_length", "m"),
+                "oscillating": ("S_times_a0_length", "m"),
                 "table": ("x_mm", "a_mm")},
     "numerics": ("n_cells", "max_iters", "seed"),
     "output": ("format",),
@@ -119,17 +117,6 @@ def _table(spec: dict, where: str, key: str,
     return xs * MM, vs
 
 
-def _surface(spec: dict, where: str, stem: str, a0: float, length: float) -> float | None:
-    """``<stem>_mm2`` or ``<stem>_times_a0_length`` in m^2; None if neither is given."""
-    mm2, times = (_number_at(spec, key, where) if key in spec else None
-                  for key in (f"{stem}_mm2", f"{stem}_times_a0_length"))
-    if mm2 is not None and times is not None:
-        raise ConfigError(f"{where}: give {stem}_mm2 or {stem}_times_a0_length, not both")
-    if mm2 is not None:
-        return mm2 * MM2
-    return None if times is None else times * a0 * length
-
-
 class HProfile:
     """Convection coefficient h(x) built from its config spec."""
 
@@ -185,7 +172,6 @@ class ExperimentConfig:
     T_d: float
     T_inf: float
     S0: float | None
-    M: float | None
     M_list: list[float] = field(default_factory=list)
     drop_cap: bool = False
     profile_kind: str = "constant"
@@ -209,11 +195,10 @@ class ExperimentConfig:
         for M1, M2 in zip(self.M_list, self.M_list[1:]):
             if M1 == M2:
                 raise ConfigError(f"constraint.M_list_mm: cap {M1 * 1e3:g} mm is repeated")
-        floor = self.a0 * self.length
-        if self.S0 is not None and floor * (1.0 - 1e-12) <= self.S0 < floor:
-            self.S0 = floor   # a budget within round-off of the floor is the floor
-        if self.S0 is not None:   # one further below is refused
+        if self.S0 is not None:   # a budget below the floor, or a cap that cannot hold it
             excess_surface(self.S0, self.a0, self.length)
+            for M in self.M_list:
+                switch_point(M, self.S0, self.a0, self.length)
         # build what the commands build, so a bad section fails here, before any work
         self.params()
         try:
@@ -222,9 +207,7 @@ class ExperimentConfig:
             raise ConfigError(f"n_cells = {self.n_cells}: too many cells to allocate")
 
     def cap(self) -> float | None:
-        """The one cap of a single run: M_mm, else the largest of M_list_mm."""
-        if self.M is not None:
-            return self.M
+        """The one cap of a single run: the largest of M_list_mm."""
         return self.M_list[-1] if self.M_list else None
 
     def grid(self, n_cells: int | None = None) -> Grid:
@@ -254,9 +237,7 @@ class ExperimentConfig:
         """
         kind, args = self.profile_kind, _keys(self.profile_args, "profile", self.profile_kind)
         if kind == "oscillating":
-            S = _surface(args, "profile", "S", self.a0, self.length)
-            if S is None:
-                raise ConfigError("profile: need S_mm2 or S_times_a0_length")
+            S = _number_at(args, "S_times_a0_length", "profile") * self.a0 * self.length
             m = _integer(_require(args, "m", "profile"), "profile.m")
             return oscillating_profile(S, m, self.a0, grid), step_density(S, m, self.a0, grid)
         if kind == "cone":
@@ -304,8 +285,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     h_profile = HProfile(_require(phy, "h", "physics"), length)
     h_r = phy.get("h_r", "h(l)")
     if isinstance(h_r, str):
-        if h_r.replace(" ", "") not in ("h(l)", "h(L)", "h(ell)"):
-            raise ConfigError(f"physics.h_r: unknown rule '{h_r}'")
+        if h_r != "h(l)":
+            raise ConfigError(f"physics.h_r: unknown rule '{h_r}'; expected a number or h(l)")
         h_r = float(h_profile(np.asarray([length]))[0])
     else:
         h_r = _number(h_r, "physics.h_r")
@@ -314,8 +295,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     con = _section(raw, "constraint", path)
     _keys(con, "constraint", con.get("kind", "surface"))
     # a volume budget has no key: no command optimizes under one, so S0 stays None
-    S0 = _surface(con, "constraint", "S0", a0, length)
-    M = _number_at(con, "M_mm", "constraint") * MM if "M_mm" in con else None
+    S0 = (_number_at(con, "S0_times_a0_length", "constraint") * a0 * length
+          if "S0_times_a0_length" in con else None)
     M_list = [v * MM for v in _numbers(con.get("M_list_mm", []), "constraint.M_list_mm")]
 
     # a key left out keeps its ExperimentConfig default
@@ -329,5 +310,5 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     return ExperimentConfig(
         a0=a0, length=length, k=k, h_profile=h_profile, h_r=h_r, T_d=T_d, T_inf=T_inf,
-        S0=S0, M=M, M_list=M_list,
+        S0=S0, M_list=M_list,
         profile_args={kk: vv for kk, vv in prof.items() if kk != "kind"}, **given)

@@ -41,9 +41,8 @@ class RadiusProfile:
         self.values = _above_floor(self.values, self.a0, 3, "radius profile")
 
     @classmethod
-    def constant(cls, a0: float, grid: Grid, value: float | None = None):
-        v = a0 if value is None else value
-        return cls(np.full(grid.n_cells + 1, float(v)), a0, grid.length)
+    def constant(cls, a0: float, grid: Grid):
+        return cls(np.full(grid.n_cells + 1, float(a0)), a0, grid.length)
 
     @classmethod
     def cone(cls, a0: float, grid: Grid, slope: float):
@@ -82,10 +81,8 @@ class SurfaceMeasure:
         self.atoms = tuple(atoms)
 
     @classmethod
-    def constant(cls, value: float, grid: Grid, floor: float | None = None,
-                 atoms: tuple = ()):
-        return cls(np.full(grid.n_cells, float(value)), floor or value,
-                   grid.length, atoms)
+    def constant(cls, value: float, grid: Grid, floor: float | None = None):
+        return cls(np.full(grid.n_cells, float(value)), floor or value, grid.length)
 
     @classmethod
     def from_radius(cls, profile: RadiusProfile, grid: Grid):
@@ -127,12 +124,11 @@ def admissible_radius_bound(S0: float, length: float) -> float:
     return float(np.sqrt(S0 * S0 / (length * length) + 4.0 * S0))
 
 
-def enforce_surface_bound(profile: RadiusProfile, S0: float,
-                          rtol: float = 1e-9) -> None:
+def enforce_surface_bound(profile: RadiusProfile, S0: float) -> None:
     """Reject profiles exceeding the a priori bound of the surface class."""
     bound = admissible_radius_bound(S0, profile.length)
     worst = float(np.max(profile.values))
-    if worst > bound * (1.0 + rtol):
+    if worst > bound * (1.0 + 1e-9):
         raise ConfigError(
             f"max radius {worst} exceeds the admissible bound {bound} "
             f"for surface budget {S0}"

@@ -30,7 +30,7 @@ def write_cfg(tmp_path, **overrides):
         "physics": {"k": 10.0, "h": {"kind": "constant", "value": 10.0},
                     "h_r": "h(l)", "T_d": 10.0, "T_inf": 0.0},
         "constraint": {"kind": "surface", "S0_times_a0_length": 6.0,
-                       "M_mm": 25.0},
+                       "M_list_mm": [25.0]},
         "profile": {"kind": "constant"},
         "numerics": {"n_cells": 200},
         "output": {"format": "csv"},
@@ -50,7 +50,7 @@ def test_config_parsing_and_units(tmp_path):
     assert cfg.a0 == pytest.approx(1e-3)
     assert cfg.length == pytest.approx(0.1)
     assert cfg.S0 == pytest.approx(6e-4)
-    assert cfg.M == pytest.approx(25e-3)
+    assert cfg.cap() == pytest.approx(25e-3)
     assert cfg.h_r == 10.0   # h(l) rule
 
 
@@ -265,11 +265,13 @@ def test_solve_zero_gap_config(tmp_path):
 
 def test_solve_oscillating_profile_flux_near_relaxed_limit(tmp_path):
     # m = 64 oscillations: the computed flux sits within 2% of the
-    # concentration limit for this shallow configuration
+    # concentration limit for this shallow configuration; no cap, as any
+    # cap must exceed its 200 mm floor
     p = write_cfg(tmp_path,
                   geometry={"a0_mm": 200.0, "length_mm": 1000.0},
                   physics={"k": 10.0, "h": {"kind": "constant", "value": 0.1},
                            "h_r": "h(l)", "T_d": 10.0, "T_inf": 0.0},
+                  constraint={"kind": "surface", "S0_times_a0_length": 6.0},
                   profile={"kind": "oscillating", "S_times_a0_length": 1.5,
                            "m": 64},
                   numerics={"n_cells": 8192})
@@ -358,7 +360,7 @@ def test_sweep_rejects_caps_whose_files_share_a_name(tmp_path, capsys):
 
 def test_optimize_rejects_infeasible_cap(tmp_path):
     p = write_cfg(tmp_path, constraint={
-        "kind": "surface", "S0_times_a0_length": 6.0, "M_mm": 1.04})
+        "kind": "surface", "S0_times_a0_length": 6.0, "M_list_mm": [1.04]})
     assert main(["optimize", "--config", str(p), "--out", str(tmp_path / "x")]) == 1
 
 
@@ -458,7 +460,7 @@ def test_config_rejects_non_integral_and_non_boolean_values(tmp_path, section,
         "numerics": {"n_cells": 200},
         "profile": {"kind": "oscillating", "S_times_a0_length": 3.0, "m": 8},
         "constraint": {"kind": "surface", "S0_times_a0_length": 6.0,
-                       "M_mm": 25.0},
+                       "M_list_mm": [25.0]},
     }
     sections[section][key] = value
     p = write_cfg(tmp_path, **{section: sections[section]})
@@ -469,8 +471,7 @@ def test_config_rejects_non_integral_and_non_boolean_values(tmp_path, section,
 
 NAN, INF = float("nan"), float("inf")
 PHYSICS = {"k": 10.0, "h": 10.0, "h_r": "h(l)", "T_d": 10.0, "T_inf": 0.0}
-CONSTRAINT = {"kind": "surface", "S0_times_a0_length": 6.0, "M_mm": 25.0,
-              "M_list_mm": [12.5, 25.0]}
+CONSTRAINT = {"kind": "surface", "S0_times_a0_length": 6.0, "M_list_mm": [12.5, 25.0]}
 
 
 @pytest.mark.parametrize("section, spec, message", [
@@ -486,10 +487,12 @@ CONSTRAINT = {"kind": "surface", "S0_times_a0_length": 6.0, "M_mm": 25.0,
      "physics.h.values: expected a number, got 'abc'"),
     ("physics", {"h": {"kind": "table", "x_mm": 5, "values": 1}},
      "physics.h.x_mm: expected a list of numbers, got 5"),
-    ("constraint", {"M_mm": INF}, "constraint.M_mm: expected a finite number, got inf"),
-    ("constraint", {"M_mm": NAN}, "constraint.M_mm: expected a finite number, got nan"),
+    ("constraint", {"M_list_mm": [12.5, INF]},
+     "constraint.M_list_mm: expected a finite number, got inf"),
+    ("constraint", {"M_list_mm": NAN}, "constraint.M_list_mm: expected a list of numbers, got nan"),
     ("constraint", {"M_list_mm": [NAN]}, "constraint.M_list_mm: expected a finite number"),
-    ("constraint", {"S0_mm2": NAN}, "constraint.S0_mm2: expected a finite number"),
+    ("constraint", {"S0_times_a0_length": NAN},
+     "constraint.S0_times_a0_length: expected a finite number"),
     ("profile", {"kind": "bogus"}, "profile.kind 'bogus' not one of"),
     ("profile", {"kind": "table", "x_mm": [0.0, 60.0, 50.0, 100.0],
                  "a_mm": [1.0, 2.0, 2.0, 1.0]}, "profile.x_mm must be strictly increasing"),
@@ -508,6 +511,10 @@ CONSTRAINT = {"kind": "surface", "S0_times_a0_length": 6.0, "M_mm": 25.0,
     ("constraint", "", "constraint: expected a mapping, got ''"),
     ("constraint", {"M_list_mm": [25.0, 12.5, 25.0]},
      "constraint.M_list_mm: cap 25 mm is repeated"),
+    # single-cap runs read only the largest cap, sweep and verify read them all
+    ("constraint", {"M_list_mm": [0.5, 50.0]}, "cap M=0.0005 must exceed the floor a0=0.001"),
+    ("constraint", {"M_list_mm": [1.2, 50.0]},
+     "infeasible cap M=0.0012: the budget S0=0.0006000000000000001 does not fit"),
     # a misspelled section would otherwise leave its defaults in force
     ("numeric", {"n_cells": 64}, "unknown top-level key(s) ['numeric']"),
     # a key no command reads, or a value given twice, would otherwise be dropped
@@ -516,20 +523,21 @@ CONSTRAINT = {"kind": "surface", "S0_times_a0_length": 6.0, "M_mm": 25.0,
                        "widht_mm": 10.0}}, "physics.h: unknown key(s) ['widht_mm']"),
     ("physics", {"h": {"kind": "constant", "value": 10.0, "end": 5.0}},
      "physics.h: unknown key(s) ['end']"),
-    ("constraint", {"S0_mm2": 600.0},
-     "constraint: give S0_mm2 or S0_times_a0_length, not both"),
+    # a second spelling of a quantity is no key at all
+    ("constraint", {"S0_mm2": 600.0}, "constraint: unknown key(s) ['S0_mm2']"),
     ("constraint", {"kind": "volume"},
-     "constraint: unknown key(s) ['M_list_mm', 'M_mm', 'S0_times_a0_length']"),
+     "constraint: unknown key(s) ['M_list_mm', 'S0_times_a0_length']"),
     ("constraint", {"V0_mm3": 5.0}, "constraint: unknown key(s) ['V0_mm3']"),
     ("profile", {"kind": "cone", "tip_mm": 2.0, "m": 3}, "profile: unknown key(s) ['m']"),
     ("profile", {"kind": "oscillating", "S_mm2": 200.0, "S_times_a0_length": 1.5, "m": 16},
-     "profile: give S_mm2 or S_times_a0_length, not both"),
+     "profile: unknown key(s) ['S_mm2']"),
 ], ids=["k_negative", "T_d_below_T_inf", "h_end_nan", "h_below_floor", "step_width_zero",
         "h_table_text", "h_table_scalars", "M_inf", "M_nan", "M_list_nan", "S0_nan",
         "profile_kind_bogus", "profile_x_decreasing", "profile_a_below_a0",
         "geometry_scalar", "physics_scalar", "constraint_list", "profile_scalar",
         "numerics_list", "output_text", "numerics_zero", "output_false",
         "profile_empty_list", "constraint_empty_text", "M_list_repeated",
+        "cap_below_a0", "cap_infeasible",
         "unknown_section", "numerics_key_typo", "h_step_key_typo", "h_constant_with_end",
         "both_S0_spellings", "volume_with_surface_budget", "V0_key", "cone_with_m",
         "both_S_spellings"])
@@ -545,7 +553,7 @@ def test_malformed_config_stops_every_command_at_load(tmp_path, capsys, section,
     assert_every_command_refuses(tmp_path, capsys, write_cfg(tmp_path, **sections), message)
 
 
-@pytest.mark.parametrize("cap", [{"M_mm": 25.0}, {"M_list_mm": [12.5, 25.0]},
+@pytest.mark.parametrize("cap", [{"M_list_mm": [25.0]}, {"M_list_mm": [12.5, 25.0]},
                                  {"drop_cap": True}], ids=["M", "M_list", "drop_cap"])
 def test_volume_budget_takes_no_caps(tmp_path, capsys, cap):
     # no command reads a cap under a volume budget, so one given there is an error
@@ -610,7 +618,7 @@ def test_config_accepts_integral_values(tmp_path):
     p = write_cfg(tmp_path, numerics={"n_cells": 256.0, "max_iters": 50,
                                       "seed": 7},
                   constraint={"kind": "surface", "S0_times_a0_length": 6.0,
-                              "M_mm": 25.0, "drop_cap": True})
+                              "M_list_mm": [25.0], "drop_cap": True})
     cfg = load_config(p)
     assert (cfg.n_cells, cfg.max_iters, cfg.seed, cfg.drop_cap) == (256, 50, 7, True)
     assert isinstance(cfg.n_cells, int)
@@ -632,9 +640,9 @@ def test_negative_seed_and_nonpositive_max_iters_are_config_errors(
 
 
 def test_optimize_sequence_and_verify_take_the_same_cap(tmp_path):
-    # M_mm wins over M_list_mm for every single-cap run
+    # every single-cap run takes the largest cap of the list, in any order
     raw = yaml.safe_load((CONFIGS / "decreasing_h.yaml").read_text())
-    raw["constraint"].update(M_mm=6.25, M_list_mm=[6.25, 50.0])
+    raw["constraint"].update(M_list_mm=[6.25, 4.0])
     p = tmp_path / "both_caps.yaml"
     p.write_text(yaml.safe_dump(raw))
     cfg = load_config(p)
@@ -734,13 +742,11 @@ FLOOR_PHYSICS = {"k": 10.0, "h": {"kind": "affine", "start": 20.0, "end": 10.0},
                  "h_r": "h(l)", "T_d": 10.0, "T_inf": 0.0}
 
 
-@pytest.mark.parametrize("surface", [{"S0_mm2": 100.0},
-                                     {"S0_times_a0_length": 1.0 - 1e-13}])
-def test_a_budget_within_round_off_of_the_floor_loads_as_the_floor(tmp_path, capsys,
-                                                                    surface):
-    # 100 mm^2 * 1e-6 rounds to 9.999999999999999e-05, one ulp under a0 L
+def test_the_floor_budget_loads_as_the_floor_exactly(tmp_path, capsys):
+    # (1 * a0) * L is a0 L bit for bit, and a larger factor never rounds below it
     p = write_cfg(tmp_path, physics=FLOOR_PHYSICS,
-                  constraint={"kind": "surface", **surface, "M_list_mm": [12.5, 25.0]})
+                  constraint={"kind": "surface", "S0_times_a0_length": 1.0,
+                              "M_list_mm": [12.5, 25.0]})
     cfg = load_config(p)
     assert cfg.S0 == cfg.a0 * cfg.length
     for command in ("solve", "optimize", "sweep", "sequence", "verify"):
@@ -751,19 +757,45 @@ def test_a_budget_within_round_off_of_the_floor_loads_as_the_floor(tmp_path, cap
 
 
 def test_a_budget_below_the_floor_is_refused_by_every_command(tmp_path, capsys):
-    p = write_cfg(tmp_path, physics=FLOOR_PHYSICS,
-                  constraint={"kind": "surface", "S0_mm2": 99.9999, "M_list_mm": [12.5, 25.0]})
-    assert_every_command_refuses(tmp_path, capsys, p, "below the floor surface a0 L")
+    # a budget even 1e-13 below the floor is refused: the floor has no slack
+    for factor in (0.999999, 1.0 - 1e-13):
+        p = write_cfg(tmp_path, physics=FLOOR_PHYSICS,
+                      constraint={"kind": "surface", "S0_times_a0_length": factor,
+                                  "M_list_mm": [12.5, 25.0]})
+        assert_every_command_refuses(tmp_path, capsys, p, "below the floor surface a0 L")
 
 
 def test_a_budget_below_the_floor_is_refused_at_load(tmp_path):
     # the config owns the rule, so no caller receives a budget no command accepts
-    p = write_cfg(tmp_path, constraint={"kind": "surface", "S0_mm2": 99.9999})
+    p = write_cfg(tmp_path, constraint={"kind": "surface", "S0_times_a0_length": 0.999999})
     with pytest.raises(ConfigError, match="below the floor surface"):
         load_config(p)
     cfg = default_config()
     with pytest.raises(ConfigError, match="below the floor surface"):
         replace(cfg, S0=0.5 * cfg.a0 * cfg.length)
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("constraint", "S0_times_a0_length", {"S0_mm2": 600.0},
+     "constraint: unknown key(s) ['S0_mm2']; expected kind, S0_times_a0_length, "
+     "M_list_mm, drop_cap"),
+    ("constraint", "M_list_mm", {"M_mm": 25.0},
+     "constraint: unknown key(s) ['M_mm']; expected kind, S0_times_a0_length, "
+     "M_list_mm, drop_cap"),
+    ("profile", "S_times_a0_length", {"S_mm2": 200.0},
+     "profile: unknown key(s) ['S_mm2']; expected kind, S_times_a0_length, m"),
+    ("physics", "h_r", {"h_r": "h(L)"},
+     "physics.h_r: unknown rule 'h(L)'; expected a number or h(l)"),
+    ("physics", "h_r", {"h_r": "h(ell)"}, "physics.h_r: unknown rule 'h(ell)'"),
+    ("physics", "h_r", {"h_r": "h (l)"}, "physics.h_r: unknown rule 'h (l)'"),
+], ids=["S0_mm2", "M_mm", "S_mm2", "h(L)", "h(ell)", "h_space_l"])
+def test_each_quantity_has_one_spelling(tmp_path, capsys, section, key, value, message):
+    # the budgets, the caps and the tip rule each load from one key or one rule
+    sections = {"physics": dict(PHYSICS), "constraint": dict(CONSTRAINT),
+                "profile": {"kind": "oscillating", "S_times_a0_length": 1.5, "m": 16}}
+    sections[section].pop(key)
+    sections[section].update(value)
+    assert_every_command_refuses(tmp_path, capsys, write_cfg(tmp_path, **sections), message)
 
 
 def test_verify_without_a_budget_invents_none(tmp_path, capsys):

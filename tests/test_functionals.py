@@ -22,7 +22,7 @@ def test_volume_constant_and_scaling():
     grid = Grid(LENGTH, 128)
     assert volume(RadiusProfile.constant(A0, grid), grid) == pytest.approx(
         LENGTH * A0 ** 2, rel=1e-14)
-    doubled = RadiusProfile.constant(A0, grid, value=2 * A0)
+    doubled = RadiusProfile(np.full(grid.n_cells + 1, 2 * A0), A0, LENGTH)
     assert volume(doubled, grid) == pytest.approx(4 * LENGTH * A0 ** 2, rel=1e-14)
 
 
@@ -256,7 +256,7 @@ def test_generalized_supremum_refuses_a_solve_off_the_flat_design(demo_params):
     raised = SurfaceMeasure.constant(1.5 * A0, grid, floor=A0)
     with pytest.raises(ConfigError, match="flat design"):
         generalized_supremum(solve_temperature(a, raised, demo_params, grid), 6 * A0 * LENGTH)
-    thick = RadiusProfile.constant(A0, grid, value=2 * A0)
+    thick = RadiusProfile(np.full(grid.n_cells + 1, 2 * A0), A0, LENGTH)
     with pytest.raises(ConfigError, match="flat design"):
         generalized_supremum(solve_temperature(thick, b, demo_params, grid), 6 * A0 * LENGTH)
 

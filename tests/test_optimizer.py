@@ -302,8 +302,7 @@ def scaled_yaml(name, scaling, j):
         for key in ("value", "start", "end", "low", "high"):
             if key in h:
                 h[key] *= f / lengths ** 2
-        for sec, keys in ((geo, ("a0_mm", "length_mm")), (h, ("x_step_mm", "width_mm")),
-                          (con, ("M_mm",))):
+        for sec, keys in ((geo, ("a0_mm", "length_mm")), (h, ("x_step_mm", "width_mm"))):
             for key in keys:
                 if key in sec:
                     sec[key] *= lengths
