@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, cap_tag, load_config
 from .errors import ConfigError, NumericalError
 from .functionals import flux_report, surface_supremum
 from .io import format_column, write_json, write_table
@@ -142,12 +142,7 @@ def cmd_optimize(cfg: ExperimentConfig, out: Path) -> int:
 def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     if not cfg.M_list:
         raise ConfigError("constraint.M_list_mm is required for sweep")
-    tags = ["_M%gmm" % (M * 1e3) for M in cfg.M_list]
-    # caps load sorted and the tag rounds monotonically, so clashes are neighbours
-    for M1, M2, t1, t2 in zip(cfg.M_list, cfg.M_list[1:], tags, tags[1:]):
-        if t1 == t2:
-            raise ConfigError(f"caps {M1 * 1e3:.15g} and {M2 * 1e3:.15g} mm would both "
-                              f"write files tagged {t1}; make them differ")
+    tags = [cap_tag(M) for M in cfg.M_list]
     base = cfg.optim_config(None, cfg.grid())
     x, x_mid = format_column(base.grid.nodes), format_column(base.grid.midpoints)
     summaries = []

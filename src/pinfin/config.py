@@ -37,6 +37,11 @@ KEYS = {
 }
 
 
+def cap_tag(M: float) -> str:
+    """Suffix of the files a sweep writes for cap ``M`` (in meters)."""
+    return "_M%gmm" % (M * 1e3)
+
+
 class _ConfigLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """SafeLoader, on libyaml where PyYAML has it, that also reads YAML 1.2 floats.
 
@@ -195,6 +200,10 @@ class ExperimentConfig:
         for M1, M2 in zip(self.M_list, self.M_list[1:]):
             if M1 == M2:
                 raise ConfigError(f"constraint.M_list_mm: cap {M1 * 1e3:g} mm is repeated")
+            # the tag rounds monotonically, so clashes are neighbours
+            if cap_tag(M1) == cap_tag(M2):
+                raise ConfigError(f"caps {M1 * 1e3:.15g} and {M2 * 1e3:.15g} mm would both "
+                                  f"write files tagged {cap_tag(M1)}; make them differ")
         if self.S0 is not None:   # a budget below the floor, or a cap that cannot hold it
             excess_surface(self.S0, self.a0, self.length)
             for M in self.M_list:

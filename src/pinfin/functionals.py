@@ -45,7 +45,8 @@ def heat_flux_relaxed(T: TemperatureField) -> float:
 def heat_flux_boundary(T: TemperatureField) -> float:
     """Inlet flux -k pi a(0)^2 T'(0) in its conservative discrete form."""
     system, b, theta = T.system, T.measure, T.excess
-    q_first = system.a_mid[0] ** 2 * (theta[1] - theta[0]) / system.grid.dx
+    v = system.radius.values
+    q_first = (0.5 * (v[0] + v[1])) ** 2 * (theta[1] - theta[0]) / system.grid.dx
     sink0 = system.inlet_weight(b.density, b.atoms) * theta[0]
     return -system.params.k * np.pi * (q_first - sink0)
 
@@ -85,7 +86,7 @@ def generalized_supremum(flat: TemperatureField, S0: float) -> float:
     a0, length = flat.measure.floor, flat.measure.length
     params, grid = flat.system.params, flat.system.grid
     if (flat.measure.atoms or np.any(flat.measure.density != a0)
-            or np.any(flat.system.a_mid != a0)):
+            or np.any(flat.system.radius.at_midpoints() != a0)):
         raise ConfigError("the supremum formula needs the solve on the flat design a = b = a0")
     excess = excess_surface(S0, a0, length)
     if params.is_constant_h:

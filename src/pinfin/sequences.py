@@ -25,11 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .functionals import heat_flux_relaxed, surface_supremum
+from .functionals import surface_supremum
 from .grid import Grid
 from .physics import PhysicalParams
 from .profiles import RadiusProfile, SurfaceMeasure, excess_surface
-from .solver import solve_temperature
+from .solver import FinSystem
 
 MIN_CELLS_PER_HALF_PERIOD = 8   # of a volume design's oscillations
 CELLS_PER_OSCILLATION = 16      # of a loaded run, in radius_from_density
@@ -62,11 +62,14 @@ def _check_step_args(S: float, m: int, a0: float, length: float) -> float:
     return excess
 
 
-def _two_level(a0: float, height: float, x_end: float, grid: Grid) -> SurfaceMeasure:
-    """Cell averages of the density a0 + height on [0, x_end], a0 beyond."""
+def _two_level(a0: float, height: float, x_end: float, grid: Grid,
+               out: np.ndarray | None = None) -> SurfaceMeasure:
+    """Cell averages of the density a0 + height on [0, x_end], a0 beyond, in ``out`` if given."""
     x = grid.nodes
-    loaded = np.clip(np.minimum(x[1:], x_end) - x[:-1], 0.0, None)
-    return SurfaceMeasure(a0 + height * loaded / grid.dx, a0, grid.length)
+    loaded = np.subtract(np.minimum(x[1:], x_end, out=out), x[:-1], out=out)
+    np.clip(loaded, 0.0, None, out=loaded)
+    np.divide(np.multiply(height, loaded, out=loaded), grid.dx, out=loaded)
+    return SurfaceMeasure(np.add(a0, loaded, out=loaded), a0, grid.length)
 
 
 def step_density(S: float, m: int, a0: float, grid: Grid) -> SurfaceMeasure:
@@ -84,8 +87,9 @@ def _arc_offset(excess: float, m: int, a0: float) -> tuple[float, float]:
     return Mm, float(np.sqrt(max(Mm * Mm - a0 * a0, 0.0)))
 
 
-def oscillating_radius(x, S: float, m: int, a0: float, length: float) -> np.ndarray:
-    """Pointwise values of the m-fold oscillating profile.
+def oscillating_radius(x, S: float, m: int, a0: float, length: float,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """Values of the m-fold oscillating profile at the sorted points ``x``, in ``out`` if given.
 
     Each period of length 1/m^2 on [0, 1/m] is a rising circular arc followed
     by its mirror image; the profile is a0 on [1/m, L].  On the arcs the
@@ -93,7 +97,8 @@ def oscillating_radius(x, S: float, m: int, a0: float, length: float) -> np.ndar
     """
     excess = _check_step_args(S, m, a0, length)
     x = np.asarray(x, dtype=float)
-    out = np.full(x.shape, a0)
+    out = np.empty(x.shape) if out is None else out
+    out.fill(a0)
     if excess == 0.0:
         return out
     Mm, off = _arc_offset(excess, m, a0)
@@ -102,13 +107,14 @@ def oscillating_radius(x, S: float, m: int, a0: float, length: float) -> np.ndar
         raise ConfigError(
             f"arc construction degenerate for S={S}, m={m}: oscillations too wide"
         )
-    osc = x < 1.0 / m
-    t = np.mod(x[osc], period)
-    t = np.where(t < period / 2.0, t, period - t)
+    k = int(np.searchsorted(x, 1.0 / m))   # x[:k] < 1/m
+    t = np.mod(x[:k], period, out=out[:k])
+    np.minimum(t, period - t, out=t)      # the falling half mirrors the rising one
     # factored form of Mm^2 - (off - t)^2: for large m the arc level Mm
     # dwarfs a0 and the direct difference cancels catastrophically
     delta = a0 * a0 / (Mm + off)          # = Mm - off, computed stably
-    out[osc] = np.sqrt((delta + t) * (Mm + off - t))
+    rest = np.subtract(Mm + off, t)
+    np.sqrt(np.multiply(np.add(delta, t, out=t), rest, out=t), out=t)
     return out
 
 
@@ -336,12 +342,17 @@ def volume_constrained_design(
     slope = params.k * np.pi * params.constant_beta() * params.delta_T
     flux_floor = surface_supremum(a0, L, n, params) - slope / n
 
-    fluxes = {}
+    # every probe rewrites one radius and one density and re-assembles one kernel
+    a = RadiusProfile.constant(a0, grid)
+    system, density, fluxes = FinSystem(a, params, grid), np.empty(grid.n_cells), {}
+
+    def design(m):
+        return RadiusProfile(oscillating_radius(grid.nodes, n, m, a0, L, out=a.values), a0, L)
 
     def shortfall(m):
-        fluxes[m] = heat_flux_relaxed(solve_temperature(
-            oscillating_profile(n, m, a0, grid), step_density(n, m, a0, grid),
-            params, grid))
+        system.assemble(design(m))
+        b = _two_level(a0, _check_step_args(n, m, a0, L) * m, 1.0 / m, grid, out=density)
+        fluxes[m] = system.relaxed_flux(system.excess(b.density), b.density)
         return flux_floor - fluxes[m]
 
     m_lo = max(int(np.floor(1.0 / L)) + 1, 2)
@@ -356,4 +367,4 @@ def volume_constrained_design(
     if m is None:
         raise ConfigError(f"grid too coarse: no m up to {m_top}, the most oscillations it "
                           f"resolves, meets the volume/flux targets")
-    return oscillating_profile(n, m, a0, grid), m, fluxes[m]
+    return design(m), m, fluxes[m]

@@ -22,11 +22,13 @@ face).  An atom exactly at x = 0 does not enter the state equation at all: the
 admissible test functions vanish there, so inlet mass affects only the relaxed
 flux functional.
 
-A ``FinSystem`` keeps ``s[:-1] + s[1:]`` and one ``d | e`` buffer (n, then
-n - 1 entries) that LAPACK ``dptsv`` factors in place.  A solve passes the
-cell weights through ``theta[1:]`` into ``d``, rewrites ``e = -s[1:]``, then
-solves the right-hand side in ``theta[1:]`` (``ldb = n``): theta is all it
-allocates.  ``dptsv`` comes from the ILP64 OpenBLAS of numpy's manylinux wheel
+A ``FinSystem`` holds 4n floats, the conductances ``s``, ``s[:-1] + s[1:]``
+and one ``d | e`` buffer (n, then n - 1 entries) that LAPACK ``dptsv``
+factors in place; ``assemble`` rewrites them for another radius.  A solve
+passes the cell weights through ``theta[1:]`` into ``d``, rewrites
+``e = -s[1:]``, then solves the right-hand side in ``theta[1:]``
+(``ldb = n``): theta is all it allocates, and ``T`` is built when read.
+``dptsv`` comes from the ILP64 OpenBLAS of numpy's manylinux wheel
 (``numpy.libs/libscipy_openblas64_*.so``, ``scipy_dptsv_64_``), so importing
 this module does not import scipy; where that is not found (conda, MKL, a
 distro build, a wheel naming its OpenBLAS differently), scipy's wrapper is
@@ -35,6 +37,7 @@ imported at the first solve.
 
 import ctypes
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -102,34 +105,41 @@ def atom_node_weights(position: float, grid: Grid) -> list[tuple[int, float]]:
 
 
 class FinSystem:
-    """The discrete fin operator of one radius profile, built once.
+    """The discrete fin operator of one radius profile.
 
-    Holds the midpoint radii ``a_mid``, the face conductances
-    ``a_mid^2 / dx``, the Robin tip coefficient ``beta_r a(L)^2`` and
-    ``beta`` at the cell midpoints, and the ``d | e`` buffer every solve
-    reuses (so one kernel serves one thread at a time).  Every rule that
-    turns a surface measure into the discrete problem lives here: the
-    control-volume reaction weights, the SPD tridiagonal solve, the relaxed
-    flux pairing and its gradient.  Measures enter as a cell density plus
-    ``(position, mass)`` atoms.
+    Holds the face conductances ``a_mid^2 / dx`` and their neighbour sums,
+    the Robin tip coefficient ``beta_r a(L)^2`` and the ``radius`` they came
+    from, ``beta`` at the cell midpoints (a scalar for constant h), and the
+    ``d | e`` buffer every solve reuses (so one kernel serves one thread at
+    a time).  Every rule that turns a surface measure into the discrete
+    problem lives here: the control-volume reaction weights, the SPD
+    tridiagonal solve, the relaxed flux pairing and its gradient.  Measures
+    enter as a cell density plus ``(position, mass)`` atoms.
     """
 
     def __init__(self, a: RadiusProfile, params: PhysicalParams, grid: Grid):
-        if a.values.size != grid.n_cells + 1:
+        self.params, self.grid, n = params, grid, grid.n_cells
+        self.beta = params.constant_beta() if params.is_constant_h else params.beta(grid.midpoints)
+        self.conductance, self._de = np.empty(n), np.empty(2 * n - 1)
+        self._s_sum = np.empty(n - 1)   # the density-free part of d
+        self.assemble(a)
+
+    def assemble(self, a: RadiusProfile) -> None:
+        """Rebind the kernel to radius ``a``: its conductances, their sums and the tip."""
+        v, s = a.values, self.conductance
+        if v.size != s.size + 1:
             raise ConfigError("radius profile does not match the grid")
-        self.params, self.grid = params, grid
-        self.a_mid = am = a.at_midpoints()
-        self.conductance = s = am * am / grid.dx
-        self.robin = params.beta_r * a.values[-1] ** 2
-        self.beta_mid = params.beta(grid.midpoints)
-        self._s_sum = s[:-1] + s[1:]   # the density-free part of d
-        self._de = np.empty(2 * s.size - 1)
+        np.multiply(0.5, np.add(v[:-1], v[1:], out=s), out=s)   # a at the midpoints
+        np.divide(np.multiply(s, s, out=s), self.grid.dx, out=s)
+        np.add(s[:-1], s[1:], out=self._s_sum)
+        self.robin = self.params.beta_r * v[-1] ** 2
+        self.radius = a
 
     def _cell_weights(self, density: np.ndarray, out=None) -> np.ndarray:
         """Half-cell integrals of beta*b, each shared by the cell's two nodes."""
         if density.size != self.grid.n_cells:
             raise ConfigError("surface measure does not match the grid")
-        w = np.multiply(self.beta_mid, density, out=out)
+        w = np.multiply(self.beta, density, out=out)
         return np.divide(np.multiply(w, self.grid.dx, out=w), 2.0, out=w)
 
     def _atom_loads(self, atoms, with_inlet: bool):
@@ -143,7 +153,8 @@ class FinSystem:
 
     def inlet_weight(self, density: np.ndarray, atoms=()) -> float:
         """Node 0's control-volume integral of beta*b; it only closes the balance."""
-        m0 = self.beta_mid[0] * density[0] * self.grid.dx / 2.0
+        beta0 = self.beta[0] if np.ndim(self.beta) else self.beta
+        m0 = beta0 * density[0] * self.grid.dx / 2.0
         for node, load in self._atom_loads(atoms, with_inlet=False):
             if node == 0:
                 m0 += load
@@ -182,7 +193,7 @@ class FinSystem:
                      atoms=()) -> float:
         """k pi [<beta b, theta> + beta_r a(L)^2 theta(L)], inlet atoms included."""
         w = self._cell_weights(density)
-        pairing = float(np.sum(w * (theta[:-1] + theta[1:])))
+        pairing = float(np.sum(np.multiply(w, theta[:-1] + theta[1:], out=w)))
         for node, load in self._atom_loads(atoms, with_inlet=True):
             pairing += load * theta[node]
         return self.params.k * np.pi * (pairing + self.robin * theta[-1])
@@ -192,7 +203,7 @@ class FinSystem:
         k, dT = self.params.k, self.params.delta_T
         if dT == 0.0:
             return np.zeros(self.grid.n_cells)
-        return k * np.pi * self.beta_mid * 0.5 * (theta[:-1] ** 2 + theta[1:] ** 2) / dT
+        return k * np.pi * self.beta * 0.5 * (theta[:-1] ** 2 + theta[1:] ** 2) / dT
 
 
 @dataclass
@@ -200,16 +211,19 @@ class TemperatureField:
     """Nodal temperatures in degC, bound to the kernel that solved them.
 
     ``excess`` is the ``T - T_inf`` the solver computed; functionals read it
-    rather than ``values - T_inf``, so tiny inlet/ambient gaps keep their
-    relative accuracy.  ``system`` and ``measure`` are the discrete operator
-    and the surface measure the field was solved on: the flux functionals
-    read them instead of rebuilding the problem.
+    rather than ``values`` (built on first read), so tiny inlet/ambient gaps
+    keep their relative accuracy.  ``system`` and ``measure`` are the discrete
+    operator and the surface measure the field was solved on: the flux
+    functionals read them instead of rebuilding the problem.
     """
 
-    values: np.ndarray
     excess: np.ndarray
     system: FinSystem
     measure: SurfaceMeasure
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return self.system.params.T_inf + self.excess
 
     def theta_at(self, x) -> float:
         return float(np.interp(x, self.system.grid.nodes, self.excess))
@@ -224,8 +238,7 @@ def solve_temperature(a: RadiusProfile, b: SurfaceMeasure,
     beta(x) may vary along the fin.  The nodal values have T(0) = T_d exactly.
     """
     system = FinSystem(a, params, grid)
-    theta = system.excess(b.density, b.atoms)
-    return TemperatureField(params.T_inf + theta, theta, system, b)
+    return TemperatureField(system.excess(b.density, b.atoms), system, b)
 
 
 def compute_gamma(a0: float, length: float, beta: float, beta_r: float) -> float:

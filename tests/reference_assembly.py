@@ -17,15 +17,16 @@ from pinfin import solver
 
 def reaction_weights(system: solver.FinSystem, density: np.ndarray, atoms=()) -> np.ndarray:
     """Per-node control-volume integrals of beta*b; atoms at x = 0 left out."""
-    w = system.beta_mid * density * system.grid.dx / 2.0
-    m = np.zeros(system.grid.n_cells + 1)
+    grid = system.grid
+    w = system.params.beta(grid.midpoints) * density * grid.dx / 2.0
+    m = np.zeros(grid.n_cells + 1)
     m[:-1] += w
     m[1:] += w
     for pos, mass in atoms:
         if mass == 0.0 or pos == 0.0:
             continue
         bval = float(system.params.beta(pos))
-        for node, wgt in solver.atom_node_weights(pos, system.grid):
+        for node, wgt in solver.atom_node_weights(pos, grid):
             m[node] += wgt * bval * mass
     return m
 

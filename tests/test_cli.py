@@ -344,18 +344,15 @@ def test_structure_report_counts_match_the_written_optimum(tmp_path, name, drop_
         assert "excess_fraction_near_step" not in rep
 
 
-def test_sweep_rejects_caps_whose_files_share_a_name(tmp_path, capsys):
-    # "_M%gmm" keeps 6 significant digits: the first cap's files would be
-    # overwritten by the second's, so the sweep stops before optimizing
+def test_every_command_rejects_caps_whose_files_share_a_name(tmp_path, capsys):
+    # "_M%gmm" keeps 6 significant digits: the first cap's sweep files would
+    # be overwritten by the second's, so the config is refused at load
     p = write_cfg(tmp_path, constraint={
         "kind": "surface", "S0_times_a0_length": 6.0,
         "M_list_mm": [12.5, 6.25, 6.2500001]})
-    out = tmp_path / "sweep"
-    assert main(["sweep", "--config", str(p), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error: caps 6.25") and "6.2500001" in err
-    assert "_M6.25mm" in err
-    assert list(out.iterdir()) == []
+    assert_every_command_refuses(
+        tmp_path, capsys, p, "caps 6.25 and 6.2500001 mm would both write files "
+                             "tagged _M6.25mm; make them differ")
 
 
 def test_optimize_rejects_infeasible_cap(tmp_path):

@@ -144,17 +144,22 @@ def test_flux_identity_extends_to_interior_atoms(demo_params):
 
 def test_functionals_reuse_the_kernel_of_the_solve(demo_params, monkeypatch):
     # the field carries the kernel it was solved on: beta is evaluated on the
-    # grid once, by the solve, and never again by what reads the field
+    # grid at most once, by the solve (never for constant h), and never again
+    # by what reads the field
     ndims = []
     beta = PhysicalParams.beta
     monkeypatch.setattr(PhysicalParams, "beta",
                         lambda self, x: ndims.append(np.ndim(x)) or beta(self, x))
-    T = constant_fin(A0, LENGTH, demo_params, 256)[3]
-    flux_report(T)
-    heat_flux_relaxed(T)
-    flux_gradient_density(T)
-    solve_linearized(T, LENGTH / 2, A0 / 10)
-    assert sum(n > 0 for n in ndims) == 1    # the scalar calls read beta(x0)
+    varying = PhysicalParams(k=10.0, h=lambda x: 20.0 - 100.0 * x, h_r=10.0,
+                             T_d=10.0, T_inf=0.0)
+    for params, evaluations in [(demo_params, 0), (varying, 1)]:
+        ndims.clear()
+        T = constant_fin(A0, LENGTH, params, 256)[3]
+        flux_report(T)
+        heat_flux_relaxed(T)
+        flux_gradient_density(T)
+        solve_linearized(T, LENGTH / 2, A0 / 10)
+        assert sum(n > 0 for n in ndims) == evaluations   # the scalar calls read beta(x0)
 
 
 def test_flux_identity_on_random_profiles(demo_params):

@@ -373,12 +373,15 @@ def test_optimizer_and_public_functionals_share_one_kernel(name):
 
 
 def test_optimize_evaluates_beta_once_per_run(monkeypatch):
+    # the kernel evaluates beta on the grid once; constant h needs no array
     calls = []
     beta = PhysicalParams.beta
     monkeypatch.setattr(PhysicalParams, "beta",
                         lambda self, x: calls.append(x) or beta(self, x))
-    res = optimize(make_cfg())
-    assert res.n_iterations > 1 and len(calls) == 1
+    for h, evaluations in [(10.0, 0), (lambda x: 20.0 - 100.0 * x, 1)]:
+        calls.clear()
+        res = optimize(make_cfg(h=h))
+        assert res.n_iterations > 1 and len(calls) == evaluations
 
 
 def test_optimizer_kkt_structure_constant_h():

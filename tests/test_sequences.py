@@ -9,6 +9,7 @@ from pinfin import (ConfigError, Grid, PhysicalParams, RadiusProfile,
                     oscillating_radius, oscillation_peak, sequences,
                     solve_temperature, step_density, surface,
                     surface_supremum, switch_point, volume)
+from pinfin import solver
 from pinfin.sequences import _first_feasible, volume_constrained_design
 
 A0, ELL = 0.05, 1.0
@@ -259,13 +260,16 @@ def count_solves(monkeypatch):
     """The oscillation count m of every flux solve the volume search makes."""
     calls = []
 
-    def counted(a, b, params, grid):
-        # a step density carries (S - a0 L) m above a0 on its first cell
-        excess = b.total(grid) - b.floor * grid.length
-        calls.append(round((b.density[0] - b.floor) / excess))
-        return solve_temperature(a, b, params, grid)
+    class Counted(solver.FinSystem):
+        def excess(self, density, atoms=()):
+            # a step density carries (S - a0 L) m above a0 on its first cell
+            a0, grid = self.radius.a0, self.grid
+            excess = grid.dx * density.sum() - a0 * grid.length
+            calls.append(round((density[0] - a0) / excess))
+            return super().excess(density, atoms)
 
-    monkeypatch.setattr(sequences, "solve_temperature", counted)
+    # the search's kernel only: the reference design solves on its own
+    monkeypatch.setattr(sequences, "FinSystem", Counted)
     return calls
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from pinfin import (ConfigError, Grid, PhysicalParams, RadiusProfile,
                     SurfaceMeasure, closed_form_temperature, solve_temperature)
-from pinfin import solver
+from pinfin import TemperatureField, heat_flux_boundary, solver
 from pinfin.errors import NumericalError
 from pinfin.randoms import random_pair
 
@@ -249,7 +249,7 @@ def test_both_dptsv_paths_raise_on_indefinite_or_nan_systems(monkeypatch, path):
     system, density, loads = _random_system(rng, 50)
     indefinite = density.copy()
     # a sink far below the conductance sums of the cell's two nodes
-    sink = -1e3 * system.conductance.max() / (system.beta_mid[20] * system.grid.dx)
+    sink = -1e3 * system.conductance.max() / (system.params.constant_beta() * system.grid.dx)
     indefinite[20] = sink
     with pytest.raises(NumericalError, match="singular temperature system"):
         system.solve(indefinite, (), 0.0, loads)
@@ -285,6 +285,35 @@ def test_theta_matches_the_per_call_assembly_bitwise(monkeypatch, n, path):
         density = A0 * rng.uniform(1.0, 4.0, n)
         expected = reference_assembly.excess(system, density, atoms, path)
         assert system.excess(density, atoms).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("path", ["bundled", "scipy"])
+@pytest.mark.parametrize("h", [10.0, lambda x: 10.0 + 50.0 * x], ids=["constant_h", "variable_h"])
+@pytest.mark.parametrize("n", [2, 500, 4096])
+def test_a_reassembled_kernel_is_a_fresh_kernel(monkeypatch, n, h, path):
+    if path == "bundled" and solver._BUNDLED is None:
+        pytest.skip("numpy has no bundled ILP64 OpenBLAS here")
+    if path == "scipy":
+        monkeypatch.setattr(solver, "_dptsv", solver._scipy_dptsv)
+    rng = np.random.default_rng(2000 + n)
+    grid = Grid(LENGTH, n)
+    params = PhysicalParams(k=10.0, h=h, h_r=rng.uniform(0.0, 20.0), T_d=10.0, T_inf=0.0)
+    kernel = solver.FinSystem(RadiusProfile(A0 * rng.uniform(1.0, 3.0, n + 1), A0, LENGTH),
+                              params, grid)
+    kernel.excess(A0 * rng.uniform(1.0, 4.0, n))   # leaves a factored d | e behind
+    placed = [(0.0, 2e-4), (float(rng.uniform(0.0, LENGTH)), 5e-5), (LENGTH, 3e-5)]
+    for atoms in ([], placed, placed[1:2]):
+        a = RadiusProfile(A0 * rng.uniform(1.0, 3.0, n + 1), A0, LENGTH)
+        b = SurfaceMeasure(A0 * rng.uniform(1.0, 4.0, n), A0, LENGTH, tuple(atoms))
+        kernel.assemble(a)
+        fresh = solver.FinSystem(a, params, grid)
+        theta, expected = (k.excess(b.density, b.atoms) for k in (kernel, fresh))
+        assert theta.tobytes() == expected.tobytes()
+        assert (kernel.relaxed_flux(theta, b.density, b.atoms)
+                == fresh.relaxed_flux(expected, b.density, b.atoms))
+        assert kernel.flux_gradient(theta).tobytes() == fresh.flux_gradient(expected).tobytes()
+        assert (heat_flux_boundary(TemperatureField(theta, kernel, b))
+                == heat_flux_boundary(TemperatureField(expected, fresh, b)))
 
 
 def test_one_solve_allocates_only_theta_and_a_finiteness_mask(demo_params):
