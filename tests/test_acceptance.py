@@ -28,7 +28,16 @@ def accept(num, item, tol, at_most=True):
 
 
 def test_criterion_1_closed_form_agreement():
-    accept(1, v.check_closed_form(v.default_config()), 1e-6)
+    # the ladder never runs coarser than verify.yaml's 4096 cells, so a
+    # plot-scale config and grids too small to halve three times pass too,
+    # and a finer configured grid is kept
+    verify_cfg = load_config(CONFIGS / "verify.yaml")
+    cases = [(v.default_config(), 4096), (load_config(CONFIGS / "constant_h.yaml"), 4096)]
+    cases += [(replace(verify_cfg, n_cells=n), max(n, 4096)) for n in (2, 3, 8, 12, 8192)]
+    for cfg, n in cases:
+        item = v.check_closed_form(cfg)
+        accept(1, item, 1e-6)
+        assert item.detail.startswith(f"rel Linf at n={n}: "), item.detail
 
 
 def test_criterion_2_flux_identity():

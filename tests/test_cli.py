@@ -662,7 +662,9 @@ def test_verify_exit_codes(tmp_path):
     assert rep["seed"] == 1
     names = [i["name"] for i in rep["items"]]
     assert "closed_form_agreement" in names and "bang_structure" in names
-    # a deliberately coarse grid must fail the convergence item -> exit 2
+    # on a deliberately coarse grid the gradient item, which runs on the
+    # configured grid, fails -> exit 2; the closed-form item keeps its
+    # 4096-cell floor and passes
     out2 = tmp_path / "v2"
     code2 = main(["verify", "--config", str(CONFIGS / "verify.yaml"),
                   "--out", str(out2), "--n-cells", "8"])
@@ -670,7 +672,7 @@ def test_verify_exit_codes(tmp_path):
     rep2 = json.loads((out2 / "verify_report.json").read_text())
     failed = {i["name"] for i in rep2["items"]
               if not i["passed"] and not i["skipped"]}
-    assert "closed_form_agreement" in failed
+    assert failed == {"gradient_check"}
 
 
 def test_verify_on_two_or_three_cells_reports_failures(tmp_path, capsys):
