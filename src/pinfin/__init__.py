@@ -20,23 +20,22 @@ from .optimizer import (BangStructureReport, OptimConfig, OptimResult,
 from .physics import PhysicalParams
 from .profiles import (FluxReport, RadiusProfile, SurfaceMeasure,
                        admissible_radius_bound, enforce_surface_bound)
-from .sequences import (OscillationSpec, bang_density, oscillating_profile,
+from .sequences import (bang_density, oscillating_profile,
                         oscillating_profile_volume, oscillating_radius,
-                        oscillation_peak, reconstruct_radius, step_density,
-                        switch_point)
+                        oscillation_peak, step_density, switch_point)
 from .solver import (TemperatureField, closed_form_temperature, compute_gamma,
                      solve_temperature)
 
 __all__ = [
     "BangStructureReport", "ConfigError", "FluxReport", "Grid",
-    "NumericalError", "OptimConfig", "OptimResult", "OscillationSpec",
+    "NumericalError", "OptimConfig", "OptimResult",
     "PhysicalParams", "RadiusProfile", "SurfaceMeasure", "TemperatureField",
     "admissible_radius_bound", "bang_density", "closed_form_temperature",
     "compute_gamma", "directional_derivative", "enforce_surface_bound",
     "flux_gradient_density", "flux_report", "generalized_supremum",
     "heat_flux_boundary", "heat_flux_relaxed", "optimize",
     "oscillating_profile", "oscillating_profile_volume", "oscillating_radius",
-    "oscillation_peak", "project_box_budget", "reconstruct_radius",
+    "oscillation_peak", "project_box_budget",
     "solve_temperature", "step_density", "surface", "surface_supremum",
     "sweep_M", "switch_point", "verify_bang_structure", "volume",
 ]

@@ -73,7 +73,10 @@ class OptimResult:
 
     @cached_property
     def a_opt(self) -> RadiusProfile:
-        """A radius realizing ``b_opt``, reconstructed on first read."""
+        """A radius oscillating on each loaded run of ``b_opt``, one oscillation
+        per ``CELLS_PER_OSCILLATION`` cells (at least one), built on first read.
+        A one-cell run holds no node, so on an optimum loaded in one cell the
+        radius is a0 everywhere."""
         return radius_from_density(self.b_opt, self.config.grid)
 
     def excess_fraction(self, center: float) -> float:

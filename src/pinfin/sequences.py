@@ -12,19 +12,16 @@ builds those designs explicitly:
   ``a sqrt(1 + a'^2) = const`` holds exactly on each arc);
 * ``bang_density`` - the two-level optimizer of the capped problem with the
   switch at ``(S0 - a0 L) / (M - a0)``;
-* ``reconstruct_radius`` / ``radius_from_density`` - recover an admissible
-  radius from a prescribed density; the density is constant on each cell, so
-  rising and falling branches are exact circular arcs cell by cell and no
-  ODE integrator is involved;
+* ``radius_from_density`` / ``reconstruct_radius`` - oscillate above a0 on
+  a density's runs of loaded cells; the density is constant on each cell, so
+  the branches are exact circular arcs and no ODE integrator is involved;
 * ``volume_constrained_design`` - oscillating designs that stay inside a
   volume budget while their flux grows without bound.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .functionals import surface_supremum
 from .grid import Grid
 from .physics import PhysicalParams
@@ -33,21 +30,6 @@ from .solver import FinSystem
 
 MIN_CELLS_PER_HALF_PERIOD = 8   # of a volume design's oscillations
 CELLS_PER_OSCILLATION = 16      # of a loaded run, in radius_from_density
-
-
-@dataclass(frozen=True)
-class OscillationSpec:
-    """One reconstruction interval and how many oscillations to place on it."""
-
-    x_start: float
-    x_end: float
-    n_oscillations: int
-
-    def __post_init__(self):
-        if not (self.x_end > self.x_start >= 0.0):
-            raise ConfigError("oscillation interval must have positive length")
-        if self.n_oscillations < 1:
-            raise ConfigError("need at least one oscillation per interval")
 
 
 def _check_step_args(S: float, m: int, a0: float, length: float) -> float:
@@ -197,48 +179,31 @@ def _arc_branches(dens: np.ndarray, widths: np.ndarray,
     return out
 
 
-def reconstruct_radius(b: SurfaceMeasure, specs: list[OscillationSpec],
-                       a_boundary: float, grid: Grid) -> RadiusProfile:
-    """Admissible radius whose lateral density matches ``b`` on the specs.
+def reconstruct_radius(b: SurfaceMeasure, runs: list[tuple[int, int, int]],
+                       grid: Grid) -> RadiusProfile:
+    """Admissible radius whose lateral density matches ``b`` on the runs.
 
-    Each oscillation sub-interval is cut into pieces at the grid nodes, and
-    the density is constant on every piece.  A rising branch leaves the left
-    edge at ``a_boundary`` and a falling branch the right edge, each moving
-    one piece at a time along the exact circular arc of that piece's
+    Each run ``(first, end, n)`` is cells ``first`` to ``end - 1``, cut into
+    n equal oscillations, and each oscillation into pieces at the grid
+    nodes; the density is constant on every piece.  A rising branch leaves
+    the left edge at the floor a0 and a falling branch the right edge, each
+    moving one piece at a time along the exact circular arc of that piece's
     density, so the nodes are evaluated exactly with no integrator; every
-    branch of a spec advances in the same array step.  Within a piece the gap
+    branch of a run advances in the same array step.  Within a piece the gap
     between the branches increases, so the first node where the rising
     branch reaches the falling one follows the first crossing; the two graphs
-    are spliced there.  (Branches that never meet, possible only for a
-    density within roundoff below the baseline, keep the falling one.)
-    Outside the spec intervals the radius is the flat baseline, so the
-    identity a sqrt(1+a'^2) = b holds there only where b equals the
-    baseline.
-
-    The sup-distance from the baseline scales like the sub-interval width,
-    i.e. O(1/n_oscillations) per interval.
+    are spliced there.  (Branches that never meet, possible only by roundoff
+    where the density is a0, keep the falling one.)  Outside the runs the
+    radius is a0.  The sup-distance from a0 scales like the oscillation
+    width, i.e. O(1/n) per run.
     """
-    if b.atoms:
-        raise ConfigError("reconstruction requires an atom-free surface measure")
-    if a_boundary < b.floor:
-        raise ConfigError("baseline radius below the measure floor")
-    dens = b.density
-    nodes = grid.nodes
+    a0, dens, nodes = b.floor, b.density, grid.nodes
     tol = 1e-9 * grid.dx
-    values = np.full(nodes.size, a_boundary)
-    for spec in specs:
-        if spec.x_end > grid.length * (1.0 + 1e-12):
-            raise ConfigError("oscillation interval extends past the fin tip")
-        cells = slice(max(int(spec.x_start / grid.dx), 0),
-                      min(int(np.ceil(spec.x_end / grid.dx)), grid.n_cells))
-        if np.min(dens[cells]) < a_boundary * (1.0 - 1e-9):
-            raise NumericalError(
-                f"density drops below the baseline {a_boundary} on "
-                f"[{spec.x_start}, {spec.x_end}]; no admissible radius matches it"
-            )
+    values = np.full(nodes.size, a0)
+    for first, end, n_oscillations in runs:
         # lane (column) k is oscillation k: nodes within tol of its edges keep
-        # the baseline, the others cut it into n_pieces[k] pieces
-        edges = np.linspace(spec.x_start, spec.x_end, spec.n_oscillations + 1)
+        # a0, the others cut it into n_pieces[k] pieces
+        edges = np.linspace(first * grid.dx, end * grid.dx, n_oscillations + 1)
         i0 = np.searchsorted(nodes, edges[:-1] + tol, "right")
         n_pieces = np.maximum(np.searchsorted(nodes, edges[1:] - tol, "left") - i0, 0) + 1
         j = np.arange(n_pieces.max() + 1)[:, None]     # row j: end node j
@@ -255,27 +220,25 @@ def reconstruct_radius(b: SurfaceMeasure, specs: list[OscillationSpec],
         back = np.where(real, n_pieces - 1 - j[:-1], j[:-1])
         up, dn = np.hsplit(_arc_branches(
             np.hstack((piece, np.take_along_axis(piece, back, 0))),
-            np.hstack((width, np.take_along_axis(width, back, 0))), a_boundary), 2)
+            np.hstack((width, np.take_along_axis(width, back, 0))), a0), 2)
         at = j <= n_pieces
         dn = np.take_along_axis(dn, np.where(at, n_pieces - j, j), 0)
         ix = np.argmax((up >= dn) & at, axis=0)   # first node past the crossing
         inner = (j > 0) & (j < n_pieces)
         values[(i0 + j - 1)[inner]] = np.where(j < ix, up, dn)[inner]
-    return RadiusProfile(np.maximum(values, a_boundary), b.floor, grid.length)
+    return RadiusProfile(values, a0, grid.length)
 
 
 def radius_from_density(b: SurfaceMeasure, grid: Grid) -> RadiusProfile:
-    """Reconstruct a radius for a density via oscillations on its loaded runs."""
-    a0 = b.floor
-    excess = b.density > a0 * (1.0 + 1e-9)
+    """Reconstruct a radius for a density via oscillations on its loaded runs.
+
+    A one-cell run holds no node, so it leaves the radius at a0."""
+    excess = b.density > b.floor * (1.0 + 1e-9)
     # first cell and one past the last of each run of loaded cells
     bounds = np.flatnonzero(np.diff(excess, prepend=False, append=False)).tolist()
-    specs = [OscillationSpec(i * grid.dx, j * grid.dx,
-                             max(1, (j - i) // CELLS_PER_OSCILLATION))
-             for i, j in zip(bounds[::2], bounds[1::2])]
-    if not specs:
-        return RadiusProfile.constant(a0, grid)
-    return reconstruct_radius(b, specs, a0, grid)
+    return reconstruct_radius(
+        b, [(i, j, max(1, (j - i) // CELLS_PER_OSCILLATION))
+            for i, j in zip(bounds[::2], bounds[1::2])], grid)
 
 
 def _first_feasible(shortfall, lo: int, hi: int, m_top: int) -> int | None:

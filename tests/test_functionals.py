@@ -12,6 +12,7 @@ from pinfin import (ConfigError, Grid, PhysicalParams, RadiusProfile,
                     solve_temperature, surface, surface_supremum, volume)
 from pinfin.randoms import random_pair
 
+import reference_assembly
 from conftest import A0, LENGTH, constant_fin
 from linearized import solve_linearized
 
@@ -118,6 +119,30 @@ def test_inlet_atom_adds_mass_times_inlet_excess(demo_params):
     # the boundary flux does not see inlet mass: the gap is exactly the bump
     rep = flux_report(T_atom)
     assert rep.integral - rep.boundary == pytest.approx(bump, rel=1e-12)
+
+
+def test_relaxed_flux_tip_term_reads_the_tip_radius(demo_params):
+    # on a cone the radius one node in is not a(L): the tip term
+    # beta_r a(L)^2 theta(L) must take the last node's radius
+    grid = Grid(LENGTH, 32)
+    a = RadiusProfile.cone(A0, grid, 10.0 * A0 / LENGTH)
+    b = SurfaceMeasure.from_radius(a, grid)
+    T = solve_temperature(a, b, demo_params, grid)
+    m = reference_assembly.reaction_weights(T.system, b.density)
+    theta = T.excess
+    ref = demo_params.k * np.pi * (float(np.dot(m, theta))
+                                   + demo_params.beta_r * a.values[-1] ** 2 * theta[-1])
+    assert heat_flux_relaxed(T) == pytest.approx(ref, rel=1e-13)
+
+
+def test_atom_near_the_inlet_closes_the_flux_balance(demo_params):
+    # an atom at dx/4 lies in node 0's control volume but not at x = 0: the
+    # solve leaves it out (theta(0) is fixed), so the boundary flux must count
+    # it through the inlet weight to balance the relaxed flux
+    grid, a, b, _ = constant_fin(A0, LENGTH, demo_params, 256)
+    T = solve_temperature(a, b.with_atom(0.25 * grid.dx, 2 * A0 * LENGTH),
+                          demo_params, grid)
+    assert flux_report(T).relative_gap <= 1e-12
 
 
 def test_zero_mass_atom_is_a_no_op(demo_params):

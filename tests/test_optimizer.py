@@ -435,6 +435,20 @@ def test_reconstruction_attached_to_result():
     assert float(np.max(res.a_opt.values)) > A0
 
 
+@pytest.mark.parametrize("name", ["constant_h.yaml", "decreasing_h.yaml", "verify.yaml"])
+def test_a_opt_rises_only_where_a_loaded_run_holds_nodes(name):
+    # the uncapped optimum loads cell 0 alone, a run that holds no node, so
+    # its radius is a0 everywhere; the first cap's optimum loads a run from
+    # the inlet, and its radius rises at every node inside that run
+    for first_cap in (False, True):
+        res = shipped_run(name, first_cap)
+        a0 = res.b_opt.floor
+        loaded = np.flatnonzero(res.b_opt.density > a0 * (1.0 + 1e-9))
+        assert loaded.tolist() == list(range(loaded.size))
+        assert (loaded.size > 1) == first_cap
+        assert np.flatnonzero(res.a_opt.values > a0).tolist() == list(range(1, loaded.size))
+
+
 def test_radius_is_reconstructed_once_on_first_read(monkeypatch):
     calls = []
     rebuild = optimizer.radius_from_density
